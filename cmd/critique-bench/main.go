@@ -46,7 +46,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E9,A2)")
+	only := flag.String("only", "", "run only these comma-separated experiment ids (e.g. E1,E9,A2)")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-formatted output")
 	jsonOut := flag.Bool("json", false, "emit results as JSON")
 	ablations := flag.Bool("ablations", true, "include the A-series design ablations")
@@ -54,7 +54,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	confSmoke := flag.Int("conformance", 0, "run N seeds of the cross-machine conformance harness and exit (nonzero exit on any violation)")
-	shards := flag.Int("shards", 0, "run shardable machines on the conservative parallel kernel with N shards (0 = sequential; results are bit-identical either way)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "bound the parallel sweep runner's worker pool for experiment and conformance sweeps (<= 0 = GOMAXPROCS; results are identical at any setting)")
 	compiled := flag.Bool("compiled", false, "run TTDA simulations through the ahead-of-time compiled execution plan (results are bit-identical either way)")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "run the kernel workload pausing every N cycles to checkpoint, verify the split run is cycle-for-cycle identical to a straight run, and exit")
@@ -115,18 +114,11 @@ func main() {
 	}
 
 	sweepStart := time.Now()
-	results := experiments.All(experiments.Options{Quick: *quick, Shards: *shards, Compiled: *compiled, SweepWorkers: *sweepWorkers})
-	if *ablations {
-		results = append(results, experiments.Ablations(experiments.Options{Quick: *quick, Compiled: *compiled, SweepWorkers: *sweepWorkers})...)
-	}
+	opt := experiments.Options{Quick: *quick, Compiled: *compiled, SweepWorkers: *sweepWorkers}
+	selected := experiments.Selected(opt, *ablations, func(id string) bool { return len(want) == 0 || want[id] })
 	sweepWall := time.Since(sweepStart)
 	failed := 0
-	var selected []experiments.Result
-	for _, r := range results {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
-		selected = append(selected, r)
+	for _, r := range selected {
 		if r.Err != nil {
 			failed++
 		}
@@ -159,11 +151,12 @@ func main() {
 // Bump it on any incompatible field change so downstream consumers (the
 // future content-addressed result cache) can refuse stale layouts instead
 // of misreading them. Version 2 added epoch-window columns to the shard
-// sweep (one row per shards × window × latency point) plus the
-// sweep_workers and barrier_ns_per_epoch fields. Version 3 added the
-// direct-execution oracle backend fields (direct_wall_ms_per_run,
-// direct_mfirings_per_sec, direct_speedup_vs_interpreted).
-const benchSchemaVersion = 3
+// sweep plus the sweep_workers and barrier_ns_per_epoch fields. Version 3
+// added the direct-execution oracle backend fields
+// (direct_wall_ms_per_run, direct_mfirings_per_sec,
+// direct_speedup_vs_interpreted). Version 4 removed the parallel kernel's
+// fields (kernel_shards, barrier_ns_per_epoch) and added num_cpu.
+const benchSchemaVersion = 4
 
 // checkpointSelfCheck demonstrates and verifies split-run bit-identity on
 // the kernel workload (matmul(4) on 8 PEs): a run paused every `every`
@@ -246,10 +239,10 @@ type benchReport struct {
 	CodeVersion   string `json:"code_version"`
 
 	Quick bool `json:"quick"`
-	// GoMaxProcs is the scheduler-thread count of the measuring host. A
-	// 1-CPU environment cannot exhibit parallel-kernel speedup (the
-	// engine steps shards inline there); readers of KernelShards need
-	// this to interpret the speedup column.
+	// NumCPU and GoMaxProcs are the measuring host's logical CPU count
+	// and scheduler-thread count; the sweep_scaling speedup column cannot
+	// exceed either.
+	NumCPU     int `json:"num_cpu"`
 	GoMaxProcs int `json:"gomaxprocs"`
 	// SweepWallMs is the wall time of the full experiment sweep run by
 	// this invocation, and SweepExperiments the experiment count behind it.
@@ -303,51 +296,10 @@ type benchReport struct {
 	// counts on the shared sweep runner; on a single-CPU host (see
 	// GoMaxProcs) the speedup column cannot exceed 1.0.
 	SweepScaling []sweepScaleBench `json:"sweep_scaling"`
-	// BarrierNsPerEpoch is the measured cost of one fork/join epoch round
-	// trip — arming, worker wake, the sense-reversing barrier, and the
-	// commit scan — on two shard runners that do no simulated work. On a
-	// single-CPU host (see GoMaxProcs) shards step inline and this measures
-	// only the scan overhead.
-	BarrierNsPerEpoch float64 `json:"barrier_ns_per_epoch"`
-	// KernelShards sweeps the same kernel workload across parallel-kernel
-	// shard counts, epoch-window settings, and fabric latencies: one row per
-	// (shards, epoch_window, net_latency) point, with shards=1 rows running
-	// the sequential engine and anchoring the speedup column for their
-	// latency. Simulated cycles are identical across rows at equal latency
-	// (bit-identity); wall time, window widths, and the per-worker step
-	// counters are what move.
-	KernelShards []kernelShardBench `json:"kernel_shards"`
 	// Baselines records simulated-cycle throughput for the von Neumann
 	// baseline machines on their experiment workloads, so baseline
 	// simulator speed is tracked across revisions alongside the TTDA kernel.
 	Baselines []baselineBench `json:"baselines"`
-}
-
-// kernelShardBench is one (shards, epoch_window, net_latency) point's
-// measurement on the shard-sweep kernel workload.
-type kernelShardBench struct {
-	Shards int `json:"shards"`
-	// NetLatency is the ideal fabric's transit latency — the parallel
-	// kernel's lookahead, and with windows on, the adaptive horizon's reach.
-	NetLatency uint64 `json:"net_latency"`
-	// EpochWindow is the configured window width: 0/1 per-tick epochs,
-	// negative adaptive (horizon-bounded).
-	EpochWindow   int     `json:"epoch_window"`
-	Runs          int     `json:"runs"`
-	SimCycles     uint64  `json:"sim_cycles"`
-	WallMsPerRun  float64 `json:"wall_ms_per_run"`
-	McyclesPerSec float64 `json:"mcycles_per_sec"`
-	// SpeedupVsSeq is the same-latency sequential row's wall time divided
-	// by this entry's wall time (1.0 for shards=1 rows by construction).
-	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
-	// EpochWindows and WindowCycles report how many multi-tick windows the
-	// run executed and how many simulated cycles they covered (both zero
-	// for per-tick rows).
-	EpochWindows uint64 `json:"epoch_windows"`
-	WindowCycles uint64 `json:"window_cycles"`
-	// WorkerSteps counts shard steps executed per worker goroutine
-	// (empty for the sequential rows).
-	WorkerSteps []uint64 `json:"worker_steps,omitempty"`
 }
 
 // baselineBench is one baseline machine's throughput measurement.
@@ -539,14 +491,11 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 	for _, r := range selected {
 		perExp[r.ID] = float64(r.Wall.Microseconds()) / 1e3
 	}
-	shardSweep, err := benchKernelShards(quick)
-	if err != nil {
-		return err
-	}
 	rep := benchReport{
 		SchemaVersion:    benchSchemaVersion,
 		CodeVersion:      buildinfo.CodeVersion(),
 		Quick:            quick,
+		NumCPU:           runtime.NumCPU(),
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
 		SweepWallMs:      float64(sweepWall.Microseconds()) / 1e3,
 		SweepExperiments: len(selected),
@@ -560,11 +509,9 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 		McyclesPerSec:    float64(cycles) * float64(runs) / wall.Seconds() / 1e6,
 		MinstrPerSec:     float64(instrs) * float64(runs) / wall.Seconds() / 1e6,
 		KernelCounters:   kernelCounters,
-		KernelShards:     shardSweep,
 
-		SweepWorkers:      sweepWorkers,
-		SweepScaling:      benchSweepScaling(quick),
-		BarrierNsPerEpoch: benchBarrier(),
+		SweepWorkers: sweepWorkers,
+		SweepScaling: benchSweepScaling(quick),
 
 		CompileMs:             float64(compileWall.Microseconds()) / 1e3,
 		CompiledKernelWallMs:  float64(cWall.Microseconds()) / 1e3 / float64(runs),
@@ -698,79 +645,6 @@ func benchDirect(quick bool) ([]directBench, error) {
 	return rows, nil
 }
 
-// benchKernelShards times the TTDA shard-sweep kernel — matmul(6) on 8
-// PEs, enough parallel work for the worker goroutines to amortize the
-// per-epoch barrier — across (shards, epoch_window, net_latency) points.
-// Each latency's shards=1 row runs the sequential engine and anchors that
-// latency's speedup column; the lat=32 rows show what the adaptive window
-// buys when the fabric's lookahead is wide.
-func benchKernelShards(quick bool) ([]kernelShardBench, error) {
-	prog, err := id.Compile(workload.MatMulID)
-	if err != nil {
-		return nil, err
-	}
-	n := token.Int(6)
-	runs := 5
-	if quick {
-		n = token.Int(4)
-		runs = 2
-	}
-	points := []struct {
-		shards, window int
-		latency        sim.Cycle
-	}{
-		{1, 0, 2},
-		{2, 1, 2}, {2, -1, 2},
-		{4, 1, 2}, {4, -1, 2},
-		{8, 1, 2}, {8, -1, 2},
-		{1, 0, 32},
-		{2, 1, 32}, {2, -1, 32},
-	}
-	seqWall := map[sim.Cycle]float64{}
-	seqCycles := map[sim.Cycle]uint64{}
-	var out []kernelShardBench
-	for _, pt := range points {
-		var cycles, windows, winCycles uint64
-		var workers []uint64
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			m := core.NewMachine(core.Config{PEs: 8, Shards: pt.shards, EpochWindow: pt.window, NetLatency: pt.latency}, prog)
-			if _, err := m.Run(1_000_000_000, n); err != nil {
-				return nil, err
-			}
-			cycles = m.Summarize().Cycles
-			workers = m.WorkerSteps()
-			windows, winCycles = m.WindowStats()
-		}
-		wall := time.Since(start)
-		b := kernelShardBench{
-			Shards:        pt.shards,
-			NetLatency:    uint64(pt.latency),
-			EpochWindow:   pt.window,
-			Runs:          runs,
-			SimCycles:     cycles,
-			WallMsPerRun:  float64(wall.Microseconds()) / 1e3 / float64(runs),
-			McyclesPerSec: float64(cycles) * float64(runs) / fmaxf(1e-9, wall.Seconds()) / 1e6,
-			EpochWindows:  windows,
-			WindowCycles:  winCycles,
-			WorkerSteps:   workers,
-		}
-		if pt.shards == 1 {
-			b.SpeedupVsSeq = 1
-			seqWall[pt.latency] = b.WallMsPerRun
-			seqCycles[pt.latency] = cycles
-		} else {
-			b.SpeedupVsSeq = seqWall[pt.latency] / fmaxf(1e-9, b.WallMsPerRun)
-			if cycles != seqCycles[pt.latency] {
-				return nil, fmt.Errorf("shard sweep: shards=%d window=%d lat=%d simulated %d cycles, sequential simulated %d — bit-identity broken",
-					pt.shards, pt.window, pt.latency, cycles, seqCycles[pt.latency])
-			}
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
 // sweepScaleBench is one worker count's wall time on the fixed
 // sweep-scaling workload.
 type sweepScaleBench struct {
@@ -802,26 +676,6 @@ func benchSweepScaling(quick bool) []sweepScaleBench {
 		out = append(out, b)
 	}
 	return out
-}
-
-// barrierProbe is an always-awake shard runner that performs no simulated
-// work, so a per-tick run over it times epoch coordination alone.
-type barrierProbe struct{}
-
-func (barrierProbe) Step(sim.Cycle)                    {}
-func (barrierProbe) NextEvent(now sim.Cycle) sim.Cycle { return now }
-
-// benchBarrier measures one fork/join epoch round trip — arming, the
-// worker wake, the sense-reversing barrier, and the commit scan — by
-// running two no-work shard runners for a fixed number of per-tick epochs.
-func benchBarrier() float64 {
-	const epochs = 200_000
-	e := sim.NewParallelEngine()
-	e.RegisterShard(barrierProbe{})
-	e.RegisterShard(barrierProbe{})
-	start := time.Now()
-	e.Run(func() bool { return false }, epochs)
-	return float64(time.Since(start).Nanoseconds()) / float64(epochs)
 }
 
 // jsonResult shadows experiments.Result with a marshalable error field.

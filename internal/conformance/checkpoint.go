@@ -18,7 +18,7 @@ import (
 	"repro/internal/vn"
 )
 
-// --- oracle 7: checkpoint equivalence ---------------------------------
+// --- oracle 6: checkpoint equivalence ---------------------------------
 //
 // For every machine in the fleet: run the generated program straight
 // through, then run it again paused at a seed-derived mid-run cycle,
@@ -119,8 +119,8 @@ type ttdaAdapter struct {
 	res  []token.Value
 }
 
-func newTTDAAdapter(c *compiled, pes, shards, window int, compiledPlan bool) *ttdaAdapter {
-	m := core.NewMachine(core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window, Compiled: compiledPlan}, c.prog)
+func newTTDAAdapter(c *compiled, compiledPlan bool) *ttdaAdapter {
+	m := core.NewMachine(core.Config{PEs: 2, NetLatency: 4, Compiled: compiledPlan}, c.prog)
 	return &ttdaAdapter{m: m, args: c.args}
 }
 
@@ -180,8 +180,7 @@ func (a *vliwAdapter) snapshot() (Snapshot, error) {
 }
 
 // checkCheckpoint runs the split-run check across the fleet, crossing the
-// TTDA with the conservative parallel kernel and the compiled plan, and
-// the shardable baselines with the parallel kernel.
+// TTDA with the compiled plan.
 func checkCheckpoint(ct *counter, c *compiled) {
 	rng := sim.NewRNG(c.w.Seed ^ 0x5EEDC4C7)
 
@@ -204,16 +203,8 @@ func checkCheckpoint(ct *counter, c *compiled) {
 		name  string
 		build func() resumable
 	}{
-		{"ttda", func() resumable { return newTTDAAdapter(c, 2, 0, 0, false) }},
-		{"ttda/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, false) }},
-		{"ttda/shards=4", func() resumable { return newTTDAAdapter(c, 4, 4, 0, false) }},
-		// Windowed kernels checkpoint only at window boundaries: Run's pause
-		// lands between windows, where the shards' clocks agree, so the split
-		// run must still match the uninterrupted one bit-for-bit.
-		{"ttda/shards=2/window=4", func() resumable { return newTTDAAdapter(c, 4, 2, 4, false) }},
-		{"ttda/shards=2/window=adaptive", func() resumable { return newTTDAAdapter(c, 4, 2, -1, false) }},
-		{"ttda/compiled", func() resumable { return newTTDAAdapter(c, 2, 0, 0, true) }},
-		{"ttda/compiled/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, true) }},
+		{"ttda", func() resumable { return newTTDAAdapter(c, false) }},
+		{"ttda/compiled", func() resumable { return newTTDAAdapter(c, true) }},
 		{"vn", func() resumable {
 			m := newVNMachine(c, 2, 4)
 			return &baselineAdapter{m: m, snap: vnSnap(
@@ -226,63 +217,44 @@ func checkCheckpoint(ct *counter, c *compiled) {
 				HitLatency: 1, MissLatency: 8, MissRate: 0.3, Seed: c.w.Seed + 1,
 			})}
 		}},
+		{"cmmp", func() resumable {
+			m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2}, c.asm, 1)
+			park(2, 1, m.Core, c.asm)
+			return &baselineAdapter{m: m, snap: vnSnap(
+				m.Engine,
+				func() int64 { return int64(m.Peek(ResultAddr)) },
+				func() *vn.Core { return m.Core(0) },
+				func() [4]uint64 { return [4]uint64{m.Crossbar().Stats().Delivered.Value()} })}
+		}},
+		{"cmstar", func() resumable {
+			m := cmstar.New(cmstarConfig(8), c.asm)
+			park(m.NumCores(), 1, m.CoreAt, c.asm)
+			return &baselineAdapter{m: m, snap: vnSnap(
+				m.Engine,
+				func() int64 { return int64(m.Peek(ResultAddr)) },
+				func() *vn.Core { return m.CoreAt(0) },
+				func() [4]uint64 {
+					return [4]uint64{m.Stats().LocalRefs.Value(), m.Stats().RemoteRefs.Value()}
+				})}
+		}},
+		{"ultra", func() resumable {
+			m := ultra.New(ultra.Config{LogProcessors: 2, Combining: true}, c.asm)
+			park(m.NumProcessors(), 1, m.Core, c.asm)
+			return &baselineAdapter{m: m, snap: vnSnap(
+				m.Engine,
+				func() int64 { return int64(m.Peek(ResultAddr)) },
+				func() *vn.Core { return m.Core(0) },
+				func() [4]uint64 { return [4]uint64{m.BankServed(0), m.Network().CombineOps.Value()} })}
+		}},
+		{"hep", func() resumable {
+			m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, c.asm)
+			park(2, 1, m.Core, c.asm)
+			return &baselineAdapter{m: m, snap: vnSnap(
+				m.Engine,
+				func() int64 { return int64(m.Memory().Peek(ResultAddr)) },
+				func() *vn.Core { return m.Core(0) }, nil)}
+		}},
 	}
-
-	shardedBaselines := func(shards int) []struct {
-		name  string
-		build func() resumable
-	} {
-		suffix := ""
-		if shards > 0 {
-			suffix = fmt.Sprintf("/shards=%d", shards)
-		}
-		return []struct {
-			name  string
-			build func() resumable
-		}{
-			{"cmmp" + suffix, func() resumable {
-				m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2, Shards: shards}, c.asm, 1)
-				park(2, 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) },
-					func() [4]uint64 { return [4]uint64{m.Crossbar().Stats().Delivered.Value()} })}
-			}},
-			{"cmstar" + suffix, func() resumable {
-				cfg := cmstarConfig(8)
-				cfg.Shards = shards
-				m := cmstar.New(cfg, c.asm)
-				park(m.NumCores(), 1, m.CoreAt, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.CoreAt(0) },
-					func() [4]uint64 {
-						return [4]uint64{m.Stats().LocalRefs.Value(), m.Stats().RemoteRefs.Value()}
-					})}
-			}},
-			{"ultra" + suffix, func() resumable {
-				m := ultra.New(ultra.Config{LogProcessors: 2, Combining: true, Shards: shards}, c.asm)
-				park(m.NumProcessors(), 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) },
-					func() [4]uint64 { return [4]uint64{m.BankServed(0), m.Network().CombineOps.Value()} })}
-			}},
-			{"hep" + suffix, func() resumable {
-				m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
-				park(2, 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Memory().Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) }, nil)}
-			}},
-		}
-	}
-	entries = append(entries, shardedBaselines(0)...)
-	entries = append(entries, shardedBaselines(2)...)
 
 	for _, en := range entries {
 		splitCheck(ct, rng, en.name, en.build)
@@ -410,7 +382,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	a := newTTDAAdapter(c, 2, 0, 0, false)
+	a := newTTDAAdapter(c, false)
 	done, err := a.run(at)
 	if err != nil {
 		return "", err
@@ -422,7 +394,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	fresh := newTTDAAdapter(c, 2, 0, 0, false)
+	fresh := newTTDAAdapter(c, false)
 	if err := sim.Restore(fresh, data); err != nil {
 		return "", fmt.Errorf("written checkpoint does not restore: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // dishonestResumable diverges after a checkpoint round trip: the restored
 // copy runs one cycle longer than the straight run — the exact class of
-// bug the seventh oracle exists to catch.
+// bug the checkpoint oracle exists to catch.
 type dishonestResumable struct {
 	cycles   uint64
 	restored bool
@@ -118,7 +118,7 @@ func TestMaterializeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newTTDAAdapter(c, 2, 0, 0, false)
+	a := newTTDAAdapter(c, false)
 	if err := sim.Restore(a, data); err != nil {
 		t.Fatalf("artifact does not restore: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestMaterializeCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointOracleSingleSeed runs the full seventh family on one seed
+// TestCheckpointOracleSingleSeed runs the full checkpoint family on one seed
 // as a fast standalone gate (the 64-seed sweep covers the rest).
 func TestCheckpointOracleSingleSeed(t *testing.T) {
 	c, err := compile(Generate(0))

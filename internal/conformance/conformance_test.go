@@ -135,7 +135,7 @@ func TestHarnessDetectsCriticalPathViolation(t *testing.T) {
 // TestHarnessDetectsCorruptedDirectResult doctors the direct-execution
 // seam so the oracle backend reports an off-by-one answer, and demands the
 // direct-equivalence oracle fail with the standard minimized repro
-// command. This is the teeth test for the eighth family: a backend with no
+// command. This is the teeth test for the direct-execution family: a backend with no
 // cycle model has exactly one observable, so the harness must die the
 // moment that observable drifts.
 func TestHarnessDetectsCorruptedDirectResult(t *testing.T) {
@@ -186,7 +186,7 @@ func TestSweepReport(t *testing.T) {
 	if len(r.Violations) != 0 {
 		t.Fatalf("unexpected violations: %v", r.Violations)
 	}
-	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleParallel, OracleCompiled, OracleCheckpoint, OracleDirect} {
+	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCompiled, OracleCheckpoint, OracleDirect} {
 		if r.PerOracle[o] == 0 {
 			t.Fatalf("oracle family %q ran zero checks", o)
 		}

@@ -100,21 +100,16 @@ func runInterp(c *compiled) (int64, *graph.Interp, error) {
 // forceLegacy registers an inert non-EventAware component, flipping the
 // engine into its exhaustive per-cycle fallback — the engine-honesty
 // oracle's second arm. It accepts any driver with Register so machines
-// that expose sim.Driver work too; only sequential engines are ever
-// forced (the parallel engine requires EventAware components).
+// that expose sim.Driver work too.
 func forceLegacy(e interface{ Register(sim.Component) }) {
 	e.Register(sim.ComponentFunc(func(sim.Cycle) {}))
 }
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
-// machine. shards > 1 selects the conservative parallel kernel (never
-// combined with legacy, which requires the sequential engine); window sets
-// the parallel kernel's epoch window width (0/1 per-tick, >= 2 capped, < 0
-// adaptive — meaningful only with shards > 1); compiledPlan selects the
-// ahead-of-time compiled dispatch core, which the compiled-equivalence
+// machine. compiledPlan selects the ahead-of-time compiled dispatch core, which the compiled-equivalence
 // oracle pins against the interpreted core.
-func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, compiledPlan bool) (Snapshot, error) {
-	m := core.NewMachine(core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window, Compiled: compiledPlan}, c.prog)
+func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy, compiledPlan bool) (Snapshot, error) {
+	m := core.NewMachine(core.Config{PEs: pes, NetLatency: netLatency, Compiled: compiledPlan}, c.prog)
 	if legacy {
 		forceLegacy(m.Engine())
 	}
@@ -204,8 +199,8 @@ func park(total, contexts int, coreAt func(int) *vn.Core, prog *vn.Program) {
 }
 
 // runCmmp executes the asm form on core 0 of a 2-processor C.mmp.
-func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay, Shards: shards}, c.asm, 1)
+func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool) (Snapshot, error) {
+	m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay}, c.asm, 1)
 	park(2, 1, m.Core, c.asm)
 	if legacy {
 		forceLegacy(m.Engine())
@@ -233,10 +228,8 @@ func cmstarConfig(hopLatency sim.Cycle) cmstar.Config {
 
 // runCmstar executes the asm form on core 0 of cluster 0 of an 8-cluster
 // Cm*; all data addresses are inter-cluster references.
-func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	cfg := cmstarConfig(hopLatency)
-	cfg.Shards = shards
-	m := cmstar.New(cfg, c.asm)
+func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool) (Snapshot, error) {
+	m := cmstar.New(cmstarConfig(hopLatency), c.asm)
 	park(m.NumCores(), 1, m.CoreAt, c.asm)
 	if legacy {
 		forceLegacy(m.Engine())
@@ -257,8 +250,8 @@ func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool, shards int) (Snap
 
 // runUltra executes the asm form on core 0 of a 4-processor
 // Ultracomputer.
-func runUltra(c *compiled, combining, legacy bool, shards int) (Snapshot, error) {
-	m := ultra.New(ultra.Config{LogProcessors: 2, Combining: combining, Shards: shards}, c.asm)
+func runUltra(c *compiled, combining, legacy bool) (Snapshot, error) {
+	m := ultra.New(ultra.Config{LogProcessors: 2, Combining: combining}, c.asm)
 	park(m.NumProcessors(), 1, m.Core, c.asm)
 	if legacy {
 		forceLegacy(m.Engine())
@@ -281,8 +274,8 @@ func runUltra(c *compiled, combining, legacy bool, shards int) (Snapshot, error)
 // hardware contexts; both contexts of core 0 run the identical program
 // (the fold is idempotent across streams), exercising the full/empty
 // memory's retry path.
-func runHEP(c *compiled, legacy bool, shards int) (Snapshot, error) {
-	m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
+func runHEP(c *compiled, legacy bool) (Snapshot, error) {
+	m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, c.asm)
 	park(2, 1, m.Core, c.asm)
 	if legacy {
 		forceLegacy(m.Engine())

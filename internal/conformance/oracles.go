@@ -11,7 +11,7 @@ import (
 	"repro/internal/vn"
 )
 
-// Oracle names the eight check families.
+// Oracle names the seven check families.
 type Oracle string
 
 // Oracle families.
@@ -20,7 +20,6 @@ const (
 	OracleDeterminism Oracle = "determinism"
 	OracleMetamorphic Oracle = "metamorphic"
 	OracleHonesty     Oracle = "engine-honesty"
-	OracleParallel    Oracle = "parallel-equivalence"
 	OracleCompiled    Oracle = "compiled-equivalence"
 	OracleCheckpoint  Oracle = "checkpoint-equivalence"
 	OracleDirect      Oracle = "direct-equivalence"
@@ -106,7 +105,7 @@ func (c *counter) fail(o Oracle, machine string, err error) {
 	c.check(o, machine, false, func() string { return err.Error() })
 }
 
-// CheckSeed generates workload seed and runs all eight oracle families
+// CheckSeed generates workload seed and runs all seven oracle families
 // over the machine fleet, returning every violation (empty means the
 // fleet conforms on this program).
 func CheckSeed(seed uint64) []Violation {
@@ -129,7 +128,6 @@ func checkSeed(seed uint64) (*counter, []Violation) {
 	checkDeterminism(ct, c)
 	checkMetamorphic(ct, c)
 	checkHonesty(ct, c)
-	checkParallel(ct, c)
 	checkCompiled(ct, c)
 	checkCheckpoint(ct, c)
 	checkDirect(ct, c)
@@ -153,7 +151,7 @@ func checkResults(ct *counter, c *compiled) {
 	iv, _, err := runInterp(c)
 	expect("interp", iv, err)
 
-	ts, err := runTTDA(c, 2, 4, false, 0, 0, false)
+	ts, err := runTTDA(c, 2, 4, false, false)
 	expect("ttda", ts.Result, err)
 
 	ev, err := runEmulator(c, 4)
@@ -164,16 +162,16 @@ func checkResults(ct *counter, c *compiled) {
 		expect(fmt.Sprintf("vn/k=%d", k), s.Result, err)
 	}
 
-	cs, err := runCmmp(c, 2, false, 0)
+	cs, err := runCmmp(c, 2, false)
 	expect("cmmp", cs.Result, err)
 
-	ms, err := runCmstar(c, 8, false, 0)
+	ms, err := runCmstar(c, 8, false)
 	expect("cmstar", ms.Result, err)
 
-	us, err := runUltra(c, true, false, 0)
+	us, err := runUltra(c, true, false)
 	expect("ultra", us.Result, err)
 
-	hs, err := runHEP(c, false, 0)
+	hs, err := runHEP(c, false)
 	expect("hep", hs.Result, err)
 
 	cv, _, err := runConnection(c)
@@ -195,12 +193,12 @@ func checkDeterminism(ct *counter, c *compiled) {
 		})
 	}
 
-	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false, 0, 0, false) })
+	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false, false) })
 	twice("vn", func() (Snapshot, error) { return runVN(c, 2, 4, true) })
-	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false, 0) })
-	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false, 0) })
-	twice("ultra", func() (Snapshot, error) { return runUltra(c, true, false, 0) })
-	twice("hep", func() (Snapshot, error) { return runHEP(c, false, 0) })
+	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false) })
+	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false) })
+	twice("ultra", func() (Snapshot, error) { return runUltra(c, true, false) })
+	twice("hep", func() (Snapshot, error) { return runHEP(c, false) })
 	twice("connection", func() (Snapshot, error) {
 		v, steps, err := runConnection(c)
 		return Snapshot{Result: v, Cycles: uint64(steps)}, err
@@ -259,11 +257,11 @@ func checkMetamorphic(ct *counter, c *compiled) {
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "cmmp", []sim.Cycle{1, 4, 12}, func(lat sim.Cycle) (uint64, error) {
-		s, err := runCmmp(c, lat, false, 0)
+		s, err := runCmmp(c, lat, false)
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "cmstar", []sim.Cycle{2, 8, 24}, func(lat sim.Cycle) (uint64, error) {
-		s, err := runCmstar(c, lat, false, 0)
+		s, err := runCmstar(c, lat, false)
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "vliw", []sim.Cycle{2, 8, 20}, func(lat sim.Cycle) (uint64, error) {
@@ -276,7 +274,7 @@ func checkMetamorphic(ct *counter, c *compiled) {
 		return
 	}
 	for _, pes := range []int{1, 2, 4} {
-		s, err := runTTDA(c, pes, 4, false, 0, 0, false)
+		s, err := runTTDA(c, pes, 4, false, false)
 		checkCriticalPathBound(ct, it.Depth(), pes, s.Cycles, err)
 	}
 
@@ -351,119 +349,37 @@ func checkHonesty(ct *counter, c *compiled) {
 		})
 	}
 
-	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l, 0, 0, false) })
+	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l, false) })
 	pair("vn", func(l bool) (Snapshot, error) { return runVN(c, 2, 4, !l) })
-	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l, 0) })
-	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l, 0) })
-	pair("ultra", func(l bool) (Snapshot, error) { return runUltra(c, true, l, 0) })
-	pair("hep", func(l bool) (Snapshot, error) { return runHEP(c, l, 0) })
+	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l) })
+	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l) })
+	pair("ultra", func(l bool) (Snapshot, error) { return runUltra(c, true, l) })
+	pair("hep", func(l bool) (Snapshot, error) { return runHEP(c, l) })
 }
 
-// --- oracle 5: parallel-vs-sequential equivalence ---------------------
-
-// parallelShardCounts are the shard counts the parallel oracle exercises
-// against the sequential reference on every machine and seed.
-var parallelShardCounts = []int{2, 4, 8}
-
-// checkParallel runs every shardable machine once on the sequential engine
-// and once per shard count on the conservative parallel kernel, demanding
-// bit-identical simulated observables. Engine counters are excluded: the
-// two kernels schedule differently by construction (the parallel engine
-// ticks its net driver every cycle), but everything the simulated machine
-// itself produced — results, cycle counts, statistics — must match exactly.
-func checkParallel(ct *counter, c *compiled) {
-	fan := func(machine string, run func(shards int) (Snapshot, error)) {
-		seq, err := run(0)
-		if err != nil {
-			ct.fail(OracleParallel, machine, err)
-			return
-		}
-		want := seq.Observables()
-		for _, n := range parallelShardCounts {
-			par, err := run(n)
-			if err != nil {
-				ct.fail(OracleParallel, fmt.Sprintf("%s/shards=%d", machine, n), err)
-				continue
-			}
-			got := par.Observables()
-			ct.checkAt(OracleParallel, fmt.Sprintf("%s/shards=%d", machine, n), want.Cycles, got == want, func() string {
-				return fmt.Sprintf("parallel run diverged from sequential:\n  sequential %+v\n  parallel   %+v", want, got)
-			})
-		}
-	}
-
-	fan("ttda", func(n int) (Snapshot, error) { return runTTDA(c, 4, 4, false, n, 0, false) })
-	fan("cmmp", func(n int) (Snapshot, error) { return runCmmp(c, 2, false, n) })
-	fan("cmstar", func(n int) (Snapshot, error) { return runCmstar(c, 8, false, n) })
-	fan("ultra", func(n int) (Snapshot, error) { return runUltra(c, true, false, n) })
-	fan("hep", func(n int) (Snapshot, error) { return runHEP(c, false, n) })
-
-	// Epoch-window crossings: the TTDA's ideal fabric declares a lookahead,
-	// so the parallel kernel may run multi-tick windows (capped and
-	// adaptive). Every combination must still be bit-identical to the
-	// sequential reference.
-	seq, err := runTTDA(c, 4, 4, false, 0, 0, false)
-	if err != nil {
-		ct.fail(OracleParallel, "ttda/windows", err)
-		return
-	}
-	want := seq.Observables()
-	for _, n := range []int{2, 4} {
-		for _, win := range []int{4, -1} {
-			name := fmt.Sprintf("ttda/shards=%d/window=%d", n, win)
-			par, err := runTTDA(c, 4, 4, false, n, win, false)
-			if err != nil {
-				ct.fail(OracleParallel, name, err)
-				continue
-			}
-			got := par.Observables()
-			ct.checkAt(OracleParallel, name, want.Cycles, got == want, func() string {
-				return fmt.Sprintf("windowed parallel run diverged from sequential:\n  sequential %+v\n  parallel   %+v", want, got)
-			})
-		}
-	}
-}
-
-// --- oracle 6: compiled-vs-interpreted equivalence --------------------
+// --- oracle 5: compiled-vs-interpreted equivalence --------------------
 
 // checkCompiled runs the TTDA once through the interpreted dispatch core
-// and once through the ahead-of-time compiled plan, demanding the FULL
-// snapshot — results, cycles, machine statistics, and the engine's own
-// counters — be bit-identical. Compilation is a pure host-side speedup: it
-// may not perturb even the scheduler's wake pattern. A second check
-// crosses the compiled plan with the conservative parallel kernel against
-// the interpreted sequential reference.
+// and once through the ahead-of-time compiled plan, at 2 and 4 PEs,
+// demanding the FULL snapshot — results, cycles, machine statistics, and
+// the engine's own counters — be bit-identical. Compilation is a pure
+// host-side speedup: it may not perturb even the scheduler's wake pattern.
 func checkCompiled(ct *counter, c *compiled) {
-	interp, err1 := runTTDA(c, 2, 4, false, 0, 0, false)
-	plan, err2 := runTTDA(c, 2, 4, false, 0, 0, true)
-	if err1 != nil || err2 != nil {
-		ct.fail(OracleCompiled, "ttda", fmt.Errorf("run errors: %v / %v", err1, err2))
-		return
-	}
-	ct.checkAt(OracleCompiled, "ttda", interp.Cycles, interp == plan, func() string {
-		return fmt.Sprintf("compiled run diverged from interpreted (full snapshot):\n  interpreted %+v\n  compiled    %+v", interp, plan)
-	})
-
-	seq, err := runTTDA(c, 4, 4, false, 0, 0, false)
-	if err != nil {
-		ct.fail(OracleCompiled, "ttda/pes=4", err)
-		return
-	}
-	want := seq.Observables()
-	for _, n := range parallelShardCounts {
-		par, err := runTTDA(c, 4, 4, false, n, 0, true)
-		if err != nil {
-			ct.fail(OracleCompiled, fmt.Sprintf("ttda/compiled/shards=%d", n), err)
+	for _, pes := range []int{2, 4} {
+		name := fmt.Sprintf("ttda/pes=%d", pes)
+		interp, err1 := runTTDA(c, pes, 4, false, false)
+		plan, err2 := runTTDA(c, pes, 4, false, true)
+		if err1 != nil || err2 != nil {
+			ct.fail(OracleCompiled, name, fmt.Errorf("run errors: %v / %v", err1, err2))
 			continue
 		}
-		got := par.Observables()
-		ct.checkAt(OracleCompiled, fmt.Sprintf("ttda/compiled/shards=%d", n), want.Cycles, got == want, func() string {
-			return fmt.Sprintf("compiled parallel run diverged from interpreted sequential:\n  sequential %+v\n  parallel   %+v", want, got)
+		ct.checkAt(OracleCompiled, name, interp.Cycles, interp == plan, func() string {
+			return fmt.Sprintf("compiled run diverged from interpreted (full snapshot):\n  interpreted %+v\n  compiled    %+v", interp, plan)
 		})
 	}
 }
 
-// --- oracle 8: direct-execution equivalence ---------------------------
+// --- oracle 7: direct-execution equivalence ---------------------------
 
 // directRun executes the program on the direct-execution oracle backend
 // and returns its single integer result plus the firing count. It is a
@@ -544,7 +460,7 @@ func SweepOpts(n, workers int) Report {
 func (r Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conformance: %d programs, %d checks", r.Programs, r.Checks)
-	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleParallel, OracleCompiled, OracleCheckpoint, OracleDirect} {
+	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCompiled, OracleCheckpoint, OracleDirect} {
 		fmt.Fprintf(&b, ", %s=%d", o, r.PerOracle[o])
 	}
 	if len(r.Violations) == 0 {

@@ -46,27 +46,6 @@ type Config struct {
 	// compiled-equivalence oracle and the -compiled golden runs enforce.
 	Compiled bool
 
-	// Shards > 1 runs the machine on the conservative parallel simulation
-	// kernel: PEs and their co-located I-structure modules are split into
-	// that many contiguous shards, each stepped by a pinned worker
-	// goroutine, with cross-shard effects deferred to a per-cycle commit
-	// barrier. Results, cycle counts, and statistics are bit-identical to
-	// the sequential run (Shards <= 1). Ignored when Trace is set —
-	// tracing samples machine state mid-step and stays single-threaded.
-	Shards int
-
-	// EpochWindow controls multi-tick epoch windows on the parallel
-	// kernel (Shards > 1): 0 or 1 runs the classic one-tick epochs, a
-	// value >= 2 caps each window at that many cycles, and a negative
-	// value runs fully adaptive windows bounded only by the fabric's
-	// cross-shard horizon. Windows require a fabric that declares a
-	// windowing lookahead (network.Windowable — the ideal network does;
-	// stepped fabrics with per-cycle arbitration do not): with any other
-	// fabric the setting is silently ignored and epochs stay per-tick.
-	// Results, cycle counts, and statistics are bit-identical across all
-	// settings.
-	EpochWindow int
-
 	// MatchBandwidth is how many tokens the waiting-matching section
 	// accepts per cycle. The default 2 models a dual-ported associative
 	// store so one two-operand instruction can be enabled per cycle.

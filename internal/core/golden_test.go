@@ -24,14 +24,6 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 // not move: the plan is a pure host-side acceleration.
 var compiledGolden = flag.Bool("compiled", false, "execute golden scenarios in compiled (plan) mode")
 
-// -shards runs every golden scenario on the conservative parallel kernel
-// with that many shards; -window additionally sets Config.EpochWindow
-// (0/1 per-tick, >=2 capped multi-tick epochs, negative adaptive). The
-// committed golden numbers must not move under any combination — that is
-// the parallel kernel's bit-identity contract, enforced in CI with -race.
-var shardsGolden = flag.Int("shards", 0, "run golden scenarios with this many shards on the parallel kernel")
-var windowGolden = flag.Int("window", 0, "epoch window width for -shards runs (0/1 per-tick, >=2 capped, <0 adaptive)")
-
 // peSnapshot is the deterministic per-PE statistics contract: every field
 // must be bit-identical run-to-run and across kernel optimizations.
 type peSnapshot struct {
@@ -134,10 +126,6 @@ func snapshotRun(t *testing.T, sc goldenScenario) runSnapshot {
 	cfg := sc.cfg()
 	if *compiledGolden {
 		cfg.Compiled = true
-	}
-	if *shardsGolden > 0 && cfg.Shards == 0 {
-		cfg.Shards = *shardsGolden
-		cfg.EpochWindow = *windowGolden
 	}
 	m := NewMachine(cfg, prog)
 	res, err := m.Run(500_000_000, sc.args...)
@@ -253,7 +241,7 @@ func mustJSON(v interface{}) string {
 // Config.Compiled set and requires the full snapshot — results, cycles,
 // every machine and per-PE statistic — to be bit-identical to the
 // interpreted run. This is the core's half of the compiled-equivalence
-// contract (the conformance suite checks it again across seeds and shard
+// contract (the conformance suite checks it again across seeds and PE
 // counts, including engine scheduling counters).
 func TestCompiledGoldenStats(t *testing.T) {
 	if *compiledGolden {

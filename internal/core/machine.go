@@ -37,8 +37,7 @@ type Machine struct {
 	// Active lists: ids of components that currently hold queued work,
 	// kept sorted ascending so sweeps visit components in the same fixed
 	// order as stepping every component (part of the determinism
-	// contract). Sequential runs use these machine-wide lists; sharded
-	// runs give each shard its own pair over its contiguous id range.
+	// contract).
 	peQ      idQueue
 	peActive []bool
 	isQ      idQueue
@@ -46,22 +45,10 @@ type Machine struct {
 
 	// engine drives the run; its busy horizon (the latest ALU/controller
 	// busy-until cycle ever scheduled) makes quiescence a comparison
-	// instead of a machine-wide scan. Sequential machines register one
-	// driver with sim.Engine; sharded machines run on sim.ParallelEngine
-	// (see parallel_core.go).
-	engine sim.Driver
-	seqDrv *machineDriver
-	par    *sim.ParallelEngine
-	netDrv *netDriver
-	// shards is non-nil iff the machine runs the conservative-parallel
-	// kernel; shardOf maps a PE/module id to its owning shard.
-	shards  []*coreShard
-	shardOf []int
-	// winOn marks multi-tick epoch windows active (EpochWindow config on a
-	// Windowable fabric): the net driver stops mirroring runner wakes —
-	// the fabric schedules exact delivery times, so co-ticking it is
-	// unnecessary and would close every window.
-	winOn bool
+	// instead of a machine-wide scan. The whole machine is one engine
+	// component, drv.
+	engine *sim.Engine
+	drv    *machineDriver
 
 	// context manager state (conceptually distributed; centralized here
 	// with its cost charged through the PE controller's d=2 path)
@@ -159,20 +146,9 @@ func NewMachine(cfg Config, prog *graph.Program) *Machine {
 			Respond:   func(r istructure.Response) { m.isRespond(i, r) },
 		})
 	}
-	shards := cfg.Shards
-	if cfg.Trace != nil {
-		// Tracing samples machine state mid-step; keep it on the
-		// deterministic single-threaded path.
-		shards = 1
-	}
-	if shards > 1 && cfg.PEs > 1 {
-		m.setupShards(shards)
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		m.seqDrv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
-		eng.Register(m.seqDrv)
-	}
+	m.engine = sim.NewEngine()
+	m.drv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
+	m.engine.Register(m.drv)
 	return m
 }
 
@@ -252,25 +228,8 @@ func (m *Machine) Program() *graph.Program { return m.prog }
 // Now returns the current cycle.
 func (m *Machine) Now() sim.Cycle { return m.now }
 
-// wakePE puts a PE on its active list. In sharded mode it also wakes the
-// owning runner when called from a serial context (a network delivery or a
-// commit-time push); wakes from the shard's own step need no engine call —
-// the runner's post-commit NextEvent poll subsumes them.
+// wakePE puts a PE on its active list.
 func (m *Machine) wakePE(id int) {
-	if m.shards != nil {
-		sh := m.shards[m.shardOf[id]]
-		if !m.peActive[id] {
-			m.peActive[id] = true
-			sh.peQ.push(id)
-		}
-		if !sh.inStep {
-			m.par.Wake(sh, m.par.Now())
-			if !m.winOn {
-				m.par.Wake(m.netDrv, m.par.Now())
-			}
-		}
-		return
-	}
 	if m.peActive[id] {
 		return
 	}
@@ -281,34 +240,13 @@ func (m *Machine) wakePE(id int) {
 // wakeIS puts an I-structure module on its active list. A wake landing
 // while the driving sweep is mid-step (a PE's local d=1 bypass, after the
 // module sweep already ran this cycle) folds the module's next-cycle work
-// into the cached next-event answer, keeping NextEvent honest in both the
-// sequential and the sharded mode.
+// into the cached next-event answer, keeping NextEvent honest.
 func (m *Machine) wakeIS(id int) {
-	if m.shards != nil {
-		sh := m.shards[m.shardOf[id]]
-		if !m.isActive[id] {
-			m.isActive[id] = true
-			sh.isQ.push(id)
-		}
-		if sh.inStep {
-			// sh.now, not m.now: inside an epoch window the shard's local
-			// clock runs ahead of the machine clock.
-			if t := sh.now + 1; t < sh.isNext {
-				sh.isNext = t
-			}
-		} else {
-			m.par.Wake(sh, m.par.Now())
-			if !m.winOn {
-				m.par.Wake(m.netDrv, m.par.Now())
-			}
-		}
-		return
-	}
 	if !m.isActive[id] {
 		m.isActive[id] = true
 		m.isQ.push(id)
 	}
-	if d := m.seqDrv; d.inStep {
+	if d := m.drv; d.inStep {
 		if t := m.now + 1; t < d.isNext {
 			d.isNext = t
 		}
@@ -320,9 +258,7 @@ func (m *Machine) wakeIS(id int) {
 // current values.
 func (m *Machine) noteBusy(t sim.Cycle) { m.engine.NoteBusy(t) }
 
-// deliver routes a network packet arriving at its destination PE. It runs
-// in a serial context in both modes (inside the machine driver's step, or
-// the parallel kernel's serial phase).
+// deliver routes a network packet arriving at its destination PE.
 func (m *Machine) deliver(p *network.Packet) {
 	if p.HasTok {
 		m.pes[p.Dst].accept(p.Tok)
@@ -346,9 +282,7 @@ func (m *Machine) homeModule(addr uint32) int { return int(addr) % m.cfg.PEs }
 // localAddr converts a global address to a module-local one.
 func (m *Machine) localAddr(addr uint32) uint32 { return addr / uint32(m.cfg.PEs) }
 
-// enqueueIS hands a d=1 request to the I-structure module at pe. The error
-// is returned (not recorded) so callers in a shard's parallel step can
-// defer it.
+// enqueueIS hands a d=1 request to the I-structure module at pe.
 func (m *Machine) enqueueIS(pe int, r isRequest) error {
 	req := istructure.Request{
 		Op:    r.op,
@@ -366,9 +300,6 @@ func (m *Machine) enqueueIS(pe int, r isRequest) error {
 }
 
 // isRespond forwards a FETCH response as a d=0 token from the module's PE.
-// The response lands in the module's own PE's output queue, so in sharded
-// mode it stays inside the owning shard; only the response counter is
-// global, accumulated per shard and folded at commit.
 func (m *Machine) isRespond(pe int, r istructure.Response) {
 	rt := r.ReplyTo.(replyTag)
 	t := token.Token{
@@ -380,11 +311,7 @@ func (m *Machine) isRespond(pe int, r istructure.Response) {
 	}
 	t.PE = t.Tag.HomePE(m.cfg.PEs)
 	m.pes[pe].emit(t)
-	if sh := m.pes[pe].sh; sh != nil {
-		sh.isResponses++
-	} else {
-		m.stats.ISResponses++
-	}
+	m.stats.ISResponses++
 }
 
 // allocate reserves n I-structure cells and returns the base address.
@@ -463,16 +390,8 @@ func (m *Machine) fail(err error) {
 
 // quiescent reports whether no work remains anywhere in the machine. With
 // active lists and the busy horizon this is O(1) instead of a scan over
-// every PE and module (O(shards) in sharded mode).
+// every PE and module.
 func (m *Machine) quiescent() bool {
-	if m.shards != nil {
-		for _, sh := range m.shards {
-			if len(sh.peQ.ids) > 0 || len(sh.isQ.ids) > 0 {
-				return false
-			}
-		}
-		return m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
-	}
 	return len(m.peQ.ids) == 0 && len(m.isQ.ids) == 0 &&
 		m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
 }
@@ -526,12 +445,6 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 	keep := q.ids[:0]
 	for _, id := range q.ids {
 		pe := m.pes[id]
-		if !pe.hasQueuedWork() {
-			// Possible only in sharded mode: a commit-phase retry drain
-			// emptied the PE after its sweep kept it.
-			m.peActive[id] = false
-			continue
-		}
 		if t := pe.nextWork(now); t > now {
 			keep = append(keep, id)
 			if t < next {
@@ -650,28 +563,8 @@ func (m *Machine) checkClean() error {
 // Network returns the machine's interconnect (for statistics).
 func (m *Machine) Network() network.Network { return m.net }
 
-// Engine exposes the simulation engine (scheduling counters). Sequential
-// machines return a *sim.Engine, sharded ones a *sim.ParallelEngine.
-func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-shard runner step counts, or nil for a
-// sequential machine.
-func (m *Machine) WorkerSteps() []uint64 {
-	if m.par == nil {
-		return nil
-	}
-	return m.par.WorkerSteps()
-}
-
-// WindowStats reports how many multi-tick epoch windows the parallel
-// kernel ran and how many simulated cycles they covered; zero outside
-// windowed parallel runs (see Config.EpochWindow).
-func (m *Machine) WindowStats() (windows, cycles uint64) {
-	if m.par == nil {
-		return 0, 0
-	}
-	return m.par.WindowStats()
-}
+// Engine exposes the simulation engine (scheduling counters).
+func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // ISModules returns the per-PE I-structure modules.
 func (m *Machine) ISModules() []*istructure.Module { return m.is }

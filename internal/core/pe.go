@@ -24,12 +24,6 @@ import (
 type PE struct {
 	m  *Machine
 	id int
-	// sh is the owning shard when the machine runs the conservative
-	// parallel kernel (nil on the sequential path). While set, every
-	// effect that escapes the shard — network sends, manager operations,
-	// context-table mutations, faults — is appended to sh's deferred-op
-	// log instead of applied (see parallel_core.go).
-	sh *coreShard
 
 	// input queue: tokens from the network and the local bypass path
 	input sim.FIFO[token.Token]
@@ -56,11 +50,8 @@ type PE struct {
 	// outgoing network packets refused by backpressure, retried in order
 	netRetry sim.FIFO[*network.Packet]
 
-	// pktFree recycles this PE's delivered packets. Gets happen on the
-	// PE's own send path (its shard's parallel phase, or the sequential
-	// sweep); puts happen at delivery, which is always a serial context —
-	// the two never overlap, so the list needs no lock even in sharded
-	// runs.
+	// pktFree recycles this PE's delivered packets: gets on the PE's own
+	// send path, puts at delivery.
 	pktFree []*network.Packet
 
 	// PE controller queue (d=2 requests)
@@ -221,28 +212,6 @@ func (pe *PE) step(now sim.Cycle) {
 	pe.stepInput(now)
 }
 
-// fail records an execution fault, deferring it in sharded mode so the
-// first fault in sequential evaluation order wins in both modes.
-func (pe *PE) fail(err error) {
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opFail, pe: pe, err: err})
-		return
-	}
-	pe.m.fail(err)
-}
-
-// noteBusy extends the busy horizon: directly in sequential mode, through
-// the shard's accumulator (folded at commit) in sharded mode.
-func (pe *PE) noteBusy(t sim.Cycle) {
-	if sh := pe.sh; sh != nil {
-		if t > sh.busyMax {
-			sh.busyMax = t
-		}
-		return
-	}
-	pe.m.noteBusy(t)
-}
-
 // getPkt takes a packet from the PE's free list (or allocates one).
 func (pe *PE) getPkt() *network.Packet {
 	if n := len(pe.pktFree); n > 0 {
@@ -253,20 +222,14 @@ func (pe *PE) getPkt() *network.Packet {
 	return &network.Packet{}
 }
 
-// putPkt recycles a delivered packet. Serial contexts only.
+// putPkt recycles a delivered packet.
 func (pe *PE) putPkt(p *network.Packet) {
 	p.Reset()
 	pe.pktFree = append(pe.pktFree, p)
 }
 
-// sendPkt injects a packet, queueing it for in-order retry on refusal. In
-// sharded mode the send is deferred to the commit phase; the log replays
-// sends in exactly the sequential order, so refusals match too.
+// sendPkt injects a packet, queueing it for in-order retry on refusal.
 func (pe *PE) sendPkt(pkt *network.Packet) {
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opNetSend, pe: pe, pkt: pkt})
-		return
-	}
 	if !pe.m.net.Send(pkt) {
 		pe.netRetry.Push(pkt)
 		return
@@ -276,13 +239,6 @@ func (pe *PE) sendPkt(pkt *network.Packet) {
 
 // stepNetRetry re-attempts refused network sends in order.
 func (pe *PE) stepNetRetry() {
-	if pe.netRetry.Len() == 0 {
-		return
-	}
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opNetRetry, pe: pe})
-		return
-	}
 	for pe.netRetry.Len() > 0 {
 		if !pe.m.net.Send(pe.netRetry.Peek()) {
 			return
@@ -327,7 +283,7 @@ func (pe *PE) stepALU(now sim.Cycle) {
 		cin := &plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
 		d := pe.m.opTimes[cin.Op]
 		pe.aluBusyUntil = now + d
-		pe.noteBusy(pe.aluBusyUntil)
+		pe.m.noteBusy(pe.aluBusyUntil)
 		if d == 0 {
 			d = 1 // the firing cycle itself counts busy even for free ops
 		}
@@ -343,7 +299,7 @@ func (pe *PE) stepALU(now sim.Cycle) {
 	in := blk.Instr(e.act.Statement)
 	d := pe.m.opTimes[in.Op]
 	pe.aluBusyUntil = now + d
-	pe.noteBusy(pe.aluBusyUntil)
+	pe.m.noteBusy(pe.aluBusyUntil)
 	if d == 0 {
 		d = 1 // the firing cycle itself counts busy even for free ops
 	}
@@ -362,20 +318,14 @@ func (pe *PE) stepFetch() {
 	pe.aluN++
 }
 
-// stepController services one d=2 manager request. The occupancy is local;
-// the request body touches the shared context manager and allocator, so in
-// sharded mode it executes at the commit barrier.
+// stepController services one d=2 manager request.
 func (pe *PE) stepController(now sim.Cycle) {
 	if now < pe.ctrlBusyUntil || pe.ctrlQ.Len() == 0 {
 		return
 	}
 	r := pe.ctrlQ.Pop()
 	pe.ctrlBusyUntil = now + pe.m.cfg.ControllerTime
-	pe.noteBusy(pe.ctrlBusyUntil)
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opCtrl, pe: pe, in: r.instr, cin: r.cin, act: r.act, vals: [2]token.Value{r.value}})
-		return
-	}
+	pe.m.noteBusy(pe.ctrlBusyUntil)
 	if r.cin != nil {
 		pe.execCtrlC(r)
 		return
@@ -383,8 +333,7 @@ func (pe *PE) stepController(now sim.Cycle) {
 	pe.execCtrl(r)
 }
 
-// execCtrl performs a d=2 manager operation. Serial contexts only: the
-// sequential controller step, or the parallel kernel's commit phase.
+// execCtrl performs a d=2 manager operation.
 func (pe *PE) execCtrl(r ctrlRequest) {
 	switch r.instr.Op {
 	case graph.OpGetContext:
@@ -437,9 +386,7 @@ func (pe *PE) stepInput(now sim.Cycle) {
 // overflow store instead of the associative memory.
 const overflowPenalty = 4
 
-// classify implements Figure 2-3's input-type dispatch. now is the PE's
-// local cycle — under multi-tick epoch windows the machine clock lags the
-// shard's local timeline, so the stepping clock is threaded through.
+// classify implements Figure 2-3's input-type dispatch.
 func (pe *PE) classify(t token.Token, now sim.Cycle) {
 	switch t.Class {
 	case token.Normal:
@@ -448,7 +395,7 @@ func (pe *PE) classify(t token.Token, now sim.Cycle) {
 	default:
 		// d=1 and d=2 tokens are generated internally and routed directly
 		// at the output section; arriving here is a machine bug.
-		pe.fail(fmt.Errorf("core: unexpected %s token at input section", t.Class))
+		pe.m.fail(fmt.Errorf("core: unexpected %s token at input section", t.Class))
 	}
 }
 
@@ -466,7 +413,7 @@ func (pe *PE) match(t token.Token, now sim.Cycle) {
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
 	}
 	if p.have[t.Port] {
-		pe.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
+		pe.m.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
 		return
 	}
 	p.vals[t.Port] = t.Value
@@ -525,10 +472,7 @@ func (pe *PE) sendToken(act token.ActivityName, blkID graph.BlockID, stmt uint16
 }
 
 // execute performs one instruction, the heart of the ALU stage. Its case
-// analysis must agree exactly with the reference interpreter. Cases that
-// touch the shared context table (SEND-ARG/L, RETURN/L⁻¹) run at the
-// commit barrier in sharded mode; everything else touches only this PE,
-// its co-located I-structure module, or the deferred-op log.
+// analysis must agree exactly with the reference interpreter.
 func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInstr) {
 	act := e.act
 	vals := e.vals
@@ -539,7 +483,7 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 	case in.Op.IsPure():
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
-			pe.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
+			pe.m.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
 			return
 		}
 		pe.sendToDests(act, in.Dests, v)
@@ -549,7 +493,7 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 	case graph.OpSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
-			pe.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
+			pe.m.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
 			return
 		}
 		if c {
@@ -562,30 +506,17 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 		pe.stats.TokensD2.Inc()
 		pe.ctrlQ.Push(ctrlRequest{act: act, instr: in, value: vals[0]})
 	case graph.OpSendArg, graph.OpL:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
-			return
-		}
 		pe.execSendArg(in, act, vals)
 	case graph.OpD:
 		pe.sendToDestsInit(act, in.Dests, vals[0], act.Initiation+1)
 	case graph.OpDInv:
 		pe.sendToDestsInit(act, in.Dests, vals[0], 1)
 	case graph.OpReturn, graph.OpLInv:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
-			return
-		}
 		pe.execReturn(in, act, vals)
 	case graph.OpFetch:
-		// Reading nextAddr from a shard's parallel step is benign: it is
-		// written only at the commit barrier, and an address allocated in
-		// cycle t cannot reach a consumer before t+2 (the base travels
-		// through at least the output and input sections), so the bound
-		// checked here always predates this cycle.
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
-			pe.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
 			return
 		}
 		d := in.Dests[0]
@@ -604,7 +535,7 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 	case graph.OpStore:
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
-			pe.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
 		pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
@@ -612,7 +543,7 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 	case graph.OpSink, graph.OpNop:
 		// absorbed
 	default:
-		pe.fail(fmt.Errorf("core: cannot execute %s", in.Op))
+		pe.m.fail(fmt.Errorf("core: cannot execute %s", in.Op))
 	}
 }
 
@@ -674,17 +605,16 @@ func (pe *PE) execReturn(in *graph.Instruction, act token.ActivityName, vals [2]
 	pe.m.maybeFreeContext(act.Context, rec)
 }
 
-// emitIS routes a d=1 request toward the owning I-structure module. The
-// local bypass reaches only this PE's own module, so in sharded mode it
-// stays inside the shard; remote requests go through the (deferred) send
-// path.
+// emitIS routes a d=1 request toward the owning I-structure module: the
+// local bypass feeds this PE's own module, remote requests go through the
+// network.
 func (pe *PE) emitIS(r isRequest) {
 	pe.stats.TokensD1.Inc()
 	home := pe.m.homeModule(r.addr)
 	if home == pe.id {
 		pe.stats.LocalBypass.Inc()
 		if err := pe.m.enqueueIS(home, r); err != nil {
-			pe.fail(err)
+			pe.m.fail(err)
 		}
 		return
 	}

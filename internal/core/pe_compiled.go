@@ -30,14 +30,14 @@ func (pe *PE) executeC(in *graph.CInstr, e enabledInstr) {
 	case graph.KindPure:
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
-			pe.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
+			pe.m.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
 			return
 		}
 		pe.sendToDestsC(act, in.Dests, v)
 	case graph.KindSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
-			pe.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
+			pe.m.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
 			return
 		}
 		if c {
@@ -50,27 +50,17 @@ func (pe *PE) executeC(in *graph.CInstr, e enabledInstr) {
 		pe.stats.TokensD2.Inc()
 		pe.ctrlQ.Push(ctrlRequest{act: act, cin: in, value: vals[0]})
 	case graph.KindSendArg:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, cin: in, act: act, vals: vals})
-			return
-		}
 		pe.execSendArgC(in, act, vals)
 	case graph.KindD:
 		pe.sendToDestsInitC(act, in.Dests, vals[0], act.Initiation+1)
 	case graph.KindDInv:
 		pe.sendToDestsInitC(act, in.Dests, vals[0], 1)
 	case graph.KindReturn:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, cin: in, act: act, vals: vals})
-			return
-		}
 		pe.execReturnC(in, act, vals)
 	case graph.KindFetch:
-		// See execute's OpFetch case for why reading nextAddr here is safe
-		// in a shard's parallel step.
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
-			pe.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
 			return
 		}
 		d := in.Dests[0]
@@ -91,7 +81,7 @@ func (pe *PE) executeC(in *graph.CInstr, e enabledInstr) {
 	case graph.KindStore:
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
-			pe.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
 		if pe.m.cfg.Trace != nil {
@@ -101,11 +91,11 @@ func (pe *PE) executeC(in *graph.CInstr, e enabledInstr) {
 	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:
-		pe.fail(fmt.Errorf("core: cannot execute %s", in.Op))
+		pe.m.fail(fmt.Errorf("core: cannot execute %s", in.Op))
 	}
 }
 
-// execCtrlC is the compiled counterpart of execCtrl. Serial contexts only.
+// execCtrlC is the compiled counterpart of execCtrl.
 func (pe *PE) execCtrlC(r ctrlRequest) {
 	in := r.cin
 	switch in.Kind {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,14 +14,11 @@ import (
 )
 
 // ckptConfigs are the machine shapes the round-trip tests cross: the
-// sequential kernel, the sharded kernel, and both crossed with the
-// compiled plan.
+// interpreted and the compiled dispatch core.
 func ckptConfigs() map[string]Config {
 	return map[string]Config{
-		"pe4":              {PEs: 4},
-		"pe4-compiled":     {PEs: 4, Compiled: true},
-		"pe4-sh2":          {PEs: 4, Shards: 2},
-		"pe4-sh2-compiled": {PEs: 4, Shards: 2, Compiled: true},
+		"pe4":          {PEs: 4},
+		"pe4-compiled": {PEs: 4, Compiled: true},
 	}
 }
 
@@ -169,10 +168,29 @@ func TestCheckpointRejectsWrongShape(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"more-pes": {PEs: 8},
 		"compiled": {PEs: 4, Compiled: true},
-		"sharded":  {PEs: 4, Shards: 2},
 	} {
 		if err := sim.Restore(NewMachine(cfg, prog), data); err == nil {
 			t.Errorf("%s: restore accepted a mismatched checkpoint", name)
 		}
+	}
+}
+
+// TestCheckpointRejectsShardedLayout: testdata/sharded_pe4.ckpt was taken
+// from matmul(3) on 4 PEs with the machine split across two shards of the
+// since-removed parallel kernel, paused at cycle 50. Its engine section is
+// tagged "parengine", so restoring it must fail on that section instead of
+// misdecoding the shard-runner state that follows.
+func TestCheckpointRejectsShardedLayout(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "sharded_pe4.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	err = sim.Restore(NewMachine(Config{PEs: 4}, prog), data)
+	if err == nil || !strings.Contains(err.Error(), `section "parengine"`) {
+		t.Fatalf("restore of a sharded checkpoint: got %v, want a section error naming parengine", err)
 	}
 }

@@ -16,14 +16,15 @@ import (
 
 // Ablations runs the A-series: sensitivity studies of the design choices
 // in the TTDA model itself, complementing the paper-claim experiments.
-func Ablations(opt Options) []Result {
-	return timed(opt,
-		A1Optimizer,
-		A2MatchCapacity,
-		A3PipelineBandwidth,
-		A4Topology,
-		A5OpTiming,
-	)
+func Ablations(opt Options) []Result { return run(opt, ablationCatalog, nil) }
+
+// ablationCatalog lists A1–A5 in report order.
+var ablationCatalog = []experiment{
+	{"A1", A1Optimizer},
+	{"A2", A2MatchCapacity},
+	{"A3", A3PipelineBandwidth},
+	{"A4", A4Topology},
+	{"A5", A5OpTiming},
 }
 
 // runMat compiles-and-runs matmul(n) on a machine and returns its summary.

@@ -10,11 +10,10 @@ import (
 // E14ConformanceSweep runs the cross-machine differential harness as an
 // experiment: randomly generated programs are executed in both their
 // dataflow and von Neumann forms across the whole machine fleet, and the
-// eight oracle families (result equivalence, determinism, metamorphic
-// invariants, engine honesty, parallel equivalence, compiled
-// equivalence, checkpoint equivalence, direct-execution equivalence)
-// are tallied. Unlike E1–E13, which each
-// measure one of the paper's claims, E14 measures the reproduction
+// seven oracle families (result equivalence, determinism, metamorphic
+// invariants, engine honesty, compiled equivalence, checkpoint
+// equivalence, direct-execution equivalence) are tallied. Unlike E1–E13,
+// which each measure one of the paper's claims, E14 measures the reproduction
 // itself: the claim is that every machine in this repository computes
 // the same answers and obeys the paper's qualitative orderings on
 // arbitrary programs, not just the committed goldens.
@@ -42,7 +41,6 @@ func E14ConformanceSweep(opt Options) Result {
 		conformance.OracleDeterminism,
 		conformance.OracleMetamorphic,
 		conformance.OracleHonesty,
-		conformance.OracleParallel,
 		conformance.OracleCompiled,
 		conformance.OracleCheckpoint,
 		conformance.OracleDirect,
@@ -59,8 +57,8 @@ func E14ConformanceSweep(opt Options) Result {
 		"%d generated programs ran through the TTDA, the vn core, and all six baselines: "+
 			"%d oracle checks, zero violations — answers agree everywhere, runs are bit-deterministic, "+
 			"latency never helps a von Neumann machine, TTDA time never beats S∞, combining never hurts, "+
-			"the wake-queue engine matches exhaustive stepping, the sharded parallel kernel and "+
-			"the compiled execution plan are both bit-identical to sequential interpretation, every run "+
+			"the wake-queue engine matches exhaustive stepping, the compiled execution plan is "+
+			"bit-identical to interpretation, every run "+
 			"split at a random cycle by a checkpoint/restore round trip matches the uninterrupted run, and the "+
 			"direct-execution backend — no tokens, no engine, loops as native control flow — reproduces the "+
 			"reference interpreter's results, firing counts, and faults on every case.",

@@ -40,7 +40,7 @@ func E7Cmmp(opt Options) Result {
 		if err != nil {
 			return 0, err
 		}
-		m := cmmp.New(cmmp.Config{Processors: p, Banks: p, Shards: opt.Shards}, prog, 1)
+		m := cmmp.New(cmmp.Config{Processors: p, Banks: p}, prog, 1)
 		for q := 0; q < p; q++ {
 			m.Core(q).Context(0).SetReg(5, iters)
 		}
@@ -64,7 +64,7 @@ done:   halt
 		if err != nil {
 			return 0, err
 		}
-		m := cmmp.New(cmmp.Config{Processors: p, Banks: p, Shards: opt.Shards}, prog, 1)
+		m := cmmp.New(cmmp.Config{Processors: p, Banks: p}, prog, 1)
 		for q := 0; q < p; q++ {
 			m.Core(q).Context(0).SetReg(5, iters)
 		}

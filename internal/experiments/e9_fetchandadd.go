@@ -35,7 +35,7 @@ func E9FetchAndAdd(opt Options) Result {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		m := ultra.New(ultra.Config{LogProcessors: logP, Combining: combining, Shards: opt.Shards}, prog)
+		m := ultra.New(ultra.Config{LogProcessors: logP, Combining: combining}, prog)
 		n := m.NumProcessors()
 		for p := 0; p < n; p++ {
 			m.Core(p).Context(0).SetReg(4, vn.Word(1000+p))

@@ -17,16 +17,11 @@ import (
 type Options struct {
 	// Quick shrinks sweeps for use in tests and benchmarks.
 	Quick bool
-	// Shards > 1 runs the shardable machines (TTDA, C.mmp, Cm*,
-	// Ultracomputer, HEP) on the conservative parallel kernel with that
-	// many shards. Results are bit-identical to sequential runs, so every
-	// experiment table and finding is unchanged; only wall time moves.
-	Shards int
 	// Compiled runs every TTDA simulation through the ahead-of-time
-	// compiled execution plan instead of the graph interpreter. Like
-	// Shards, this is a pure host-side speedup: cycle counts, statistics,
-	// and findings are bit-identical (the conformance suite's
-	// compiled-equivalence oracle enforces it).
+	// compiled execution plan instead of the graph interpreter. This is a
+	// pure host-side speedup: cycle counts, statistics, and findings are
+	// bit-identical (the conformance suite's compiled-equivalence oracle
+	// enforces it).
 	Compiled bool
 	// SweepWorkers bounds the parallel sweep runner's worker pool for
 	// each experiment's parameter sweep (internal/sweep); <= 0 means
@@ -62,32 +57,55 @@ func (r Result) String() string {
 	return s
 }
 
-// All runs every experiment in order.
-func All(opt Options) []Result {
-	return timed(opt,
-		E1LatencyTolerance,
-		E2ContextCounts,
-		E3CacheCoherence,
-		E4ReadBeforeWrite,
-		E5Trapezoid,
-		E6PipelineAnatomy,
-		E7Cmmp,
-		E8Cmstar,
-		E9FetchAndAdd,
-		E10ConnectionMachine,
-		E11Emulator,
-		E12VLIW,
-		E13ParallelismGrail,
-		E14ConformanceSweep,
-	)
+// experiment pairs an experiment's ID with the function that runs it, so
+// callers can select experiments by ID before running any.
+type experiment struct {
+	id  string
+	run func(Options) Result
 }
 
-// timed runs each experiment and stamps its wall time on the Result.
-func timed(opt Options, fns ...func(Options) Result) []Result {
-	out := make([]Result, 0, len(fns))
-	for _, fn := range fns {
+// catalog lists E1–E14 in report order.
+var catalog = []experiment{
+	{"E1", E1LatencyTolerance},
+	{"E2", E2ContextCounts},
+	{"E3", E3CacheCoherence},
+	{"E4", E4ReadBeforeWrite},
+	{"E5", E5Trapezoid},
+	{"E6", E6PipelineAnatomy},
+	{"E7", E7Cmmp},
+	{"E8", E8Cmstar},
+	{"E9", E9FetchAndAdd},
+	{"E10", E10ConnectionMachine},
+	{"E11", E11Emulator},
+	{"E12", E12VLIW},
+	{"E13", E13ParallelismGrail},
+	{"E14", E14ConformanceSweep},
+}
+
+// All runs every experiment in order.
+func All(opt Options) []Result { return run(opt, catalog, nil) }
+
+// Selected runs, in All-then-Ablations order, only the experiments and
+// ablations whose IDs keep accepts; the rest never run. Ablations are
+// considered only when withAblations is set.
+func Selected(opt Options, withAblations bool, keep func(id string) bool) []Result {
+	list := catalog
+	if withAblations {
+		list = append(append([]experiment(nil), catalog...), ablationCatalog...)
+	}
+	return run(opt, list, keep)
+}
+
+// run runs the experiments of list that keep accepts (all of them when
+// keep is nil), in list order, stamping each Result with its wall time.
+func run(opt Options, list []experiment, keep func(id string) bool) []Result {
+	var out []Result
+	for _, e := range list {
+		if keep != nil && !keep(e.id) {
+			continue
+		}
 		start := time.Now()
-		r := fn(opt)
+		r := e.run(opt)
 		r.Wall = time.Since(start)
 		out = append(out, r)
 	}

@@ -177,8 +177,29 @@ func TestAllRunsEverything(t *testing.T) {
 	if len(results) != 14 {
 		t.Fatalf("expected 14 experiments, got %d", len(results))
 	}
-	for _, r := range results {
+	for i, r := range results {
 		requireOK(t, r)
+		if r.ID != catalog[i].id {
+			t.Fatalf("catalog lists %s at %d, the experiment reports %s", catalog[i].id, i, r.ID)
+		}
+	}
+}
+
+// TestSelectedRunsOnlyNamed pins that selection happens before running:
+// asking for E14 runs E14 alone, and an ID no experiment carries runs
+// nothing.
+func TestSelectedRunsOnlyNamed(t *testing.T) {
+	results := Selected(quick, true, func(id string) bool { return id == "E14" })
+	if len(results) != 1 || results[0].ID != "E14" {
+		ids := make([]string, len(results))
+		for i, r := range results {
+			ids[i] = r.ID
+		}
+		t.Fatalf("selecting E14 ran %v", ids)
+	}
+	requireOK(t, results[0])
+	if got := Selected(quick, true, func(id string) bool { return id == "E99" }); len(got) != 0 {
+		t.Fatalf("an unknown ID ran %d experiments", len(got))
 	}
 }
 
@@ -218,8 +239,11 @@ func TestAblationsAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, r := range Ablations(quick) {
+	for i, r := range Ablations(quick) {
 		requireOK(t, r)
+		if r.ID != ablationCatalog[i].id {
+			t.Fatalf("catalog lists %s at %d, the ablation reports %s", ablationCatalog[i].id, i, r.ID)
+		}
 	}
 }
 
@@ -244,7 +268,7 @@ func TestE14Shape(t *testing.T) {
 		t.Fatalf("expected 1 table, got %d", len(r.Tables))
 	}
 	rows := r.Tables[0].Rows
-	if len(rows) != 8 {
+	if len(rows) != 7 {
 		t.Fatalf("expected one row per oracle family, got %d", len(rows))
 	}
 	for _, row := range rows {

@@ -31,9 +31,6 @@ type Config struct {
 	SwitchDelay sim.Cycle
 	// BankService is the per-request bank occupancy.
 	BankService sim.Cycle
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -64,7 +61,7 @@ type Machine struct {
 
 	// retry holds refused crossbar sends for in-order reinjection.
 	retry  *network.RetryQueue
-	engine sim.Driver
+	engine *sim.Engine
 
 	// Free lists recycle the two allocations on the memory hot path — one
 	// packet and one payload per crossbar crossing — so steady-state
@@ -139,26 +136,15 @@ func New(cfg Config, prog *vn.Program, contextsPerCore int) *Machine {
 		c.SetSaveID(p)
 		m.cores = append(m.cores, c)
 	}
-	if cfg.Shards > 1 && cfg.Processors > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.retry)
-		par.Register(m.xbar)
-		for _, b := range m.banks {
-			par.Register(b)
-		}
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.xbar))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.retry)
-		eng.Register(m.xbar)
-		for _, b := range m.banks {
-			eng.Register(b)
-		}
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	eng := sim.NewEngine()
+	m.engine = eng
+	eng.Register(m.retry)
+	eng.Register(m.xbar)
+	for _, b := range m.banks {
+		eng.Register(b)
+	}
+	for _, c := range m.cores {
+		eng.Register(c)
 	}
 	return m
 }
@@ -271,14 +257,6 @@ func (m *Machine) Crossbar() *network.Crossbar { return m.xbar }
 
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-worker shard-step counts (nil when sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}
 
 // MeanUtilization averages core utilization.
 func (m *Machine) MeanUtilization() float64 {

@@ -86,7 +86,7 @@ func (c payloadCodec) Load(d *sim.Dec) interface{} {
 // SaveState appends the whole machine's dynamic state (sim.Stateful).
 func (m *Machine) SaveState(e *sim.Enc) {
 	e.Tag("cmmp", 1)
-	m.engine.(sim.Stateful).SaveState(e)
+	m.engine.SaveState(e)
 	pc := payloadCodec{m: m}
 	m.retry.SaveTo(e, pc)
 	m.xbar.SaveTo(e, pc)
@@ -105,7 +105,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := d.Tag("cmmp", 1); err != nil {
 		return err
 	}
-	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
+	if err := m.engine.LoadState(d); err != nil {
 		return err
 	}
 	resolve := m.resolver()

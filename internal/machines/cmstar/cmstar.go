@@ -31,12 +31,6 @@ type Config struct {
 	// the source); HopLatency is the per-cluster-hop transit time over
 	// the intercluster links (clusters form a chain: distance |i-j|).
 	KmapService, HopLatency sim.Cycle
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine. The
-	// cluster buses, Kmap event pump, and all Request routing (including
-	// the kmapBusy serialization and reference statistics) stay serial:
-	// sharded cores defer the whole Request to the commit barrier.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -86,7 +80,7 @@ type Machine struct {
 	// kmapBusy serializes each cluster's outgoing remote references.
 	kmapBusy []sim.Cycle
 	now      sim.Cycle
-	engine   sim.Driver
+	engine   *sim.Engine
 	stats    Stats
 
 	// remoteOut tracks each remote reference between its forward transit
@@ -211,24 +205,14 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		}
 	}
 	m.pump = &eventPump{m: m}
-	if cfg.Shards > 1 && len(m.cores) > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.pump)
-		for _, b := range m.buses {
-			par.Register(b)
-		}
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.pump))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.pump)
-		for _, b := range m.buses {
-			eng.Register(b)
-		}
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	eng := sim.NewEngine()
+	m.engine = eng
+	eng.Register(m.pump)
+	for _, b := range m.buses {
+		eng.Register(b)
+	}
+	for _, c := range m.cores {
+		eng.Register(c)
 	}
 	return m
 }
@@ -385,14 +369,6 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-worker shard-step counts (nil when sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}
 
 // MeanUtilization averages processor utilization.
 func (m *Machine) MeanUtilization() float64 {

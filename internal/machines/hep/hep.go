@@ -22,9 +22,6 @@ import (
 type Config struct {
 	Processors      int
 	ContextsPerCore int
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 	// MemLatency is the response time after service; MemService the bank
 	// occupancy per attempt (including failed, retried attempts).
 	MemLatency, MemService sim.Cycle
@@ -189,7 +186,7 @@ type Machine struct {
 	cfg    Config
 	cores  []*vn.Core
 	mem    *FullEmptyMemory
-	engine sim.Driver
+	engine *sim.Engine
 }
 
 // New builds the machine, loading prog into every context of every core.
@@ -201,18 +198,11 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		c.SetSaveID(p)
 		m.cores = append(m.cores, c)
 	}
-	if cfg.Shards > 1 && cfg.Processors > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.mem)
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.mem))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.mem)
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	eng := sim.NewEngine()
+	m.engine = eng
+	eng.Register(m.mem)
+	for _, c := range m.cores {
+		eng.Register(c)
 	}
 	return m
 }
@@ -246,11 +236,3 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-worker shard-step counts (nil when sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}

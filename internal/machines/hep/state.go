@@ -63,7 +63,7 @@ func (m *FullEmptyMemory) LoadFrom(d *sim.Dec, resolve vn.DoneResolver) error {
 // SaveState appends the whole machine's dynamic state (sim.Stateful).
 func (m *Machine) SaveState(e *sim.Enc) {
 	e.Tag("hep", 1)
-	m.engine.(sim.Stateful).SaveState(e)
+	m.engine.SaveState(e)
 	m.mem.SaveTo(e)
 	e.Len(len(m.cores))
 	for _, c := range m.cores {
@@ -76,7 +76,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := d.Tag("hep", 1); err != nil {
 		return err
 	}
-	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
+	if err := m.engine.LoadState(d); err != nil {
 		return err
 	}
 	if err := m.mem.LoadFrom(d, vn.Resolver(m.cores)); err != nil {

@@ -27,9 +27,6 @@ type Config struct {
 	QueueCap int
 	// ContextsPerCore gives each processor k hardware contexts.
 	ContextsPerCore int
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,7 +133,7 @@ type Machine struct {
 	cores  []*vn.Core
 	net    *network.Omega
 	banks  []*bank
-	engine sim.Driver
+	engine *sim.Engine
 	// bankArr is the registered bank component, the wake target when the
 	// network delivers a request into a bank queue.
 	bankArr *bankArray
@@ -164,22 +161,13 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		m.cores = append(m.cores, c)
 	}
 	m.bankArr = &bankArray{m: m}
-	if cfg.Shards > 1 && n > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.sendRetry)
-		par.Register(m.net)
-		par.Register(m.bankArr)
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.net))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.sendRetry)
-		eng.Register(m.net)
-		eng.Register(m.bankArr)
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	eng := sim.NewEngine()
+	m.engine = eng
+	eng.Register(m.sendRetry)
+	eng.Register(m.net)
+	eng.Register(m.bankArr)
+	for _, c := range m.cores {
+		eng.Register(c)
 	}
 	return m
 }
@@ -372,11 +360,3 @@ func (m *Machine) Network() *network.Omega { return m.net }
 
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-worker shard-step counts (nil when sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}

@@ -176,11 +176,4 @@ func (c *Crossbar) NextEvent(now sim.Cycle) sim.Cycle { return steppedNextEvent(
 // Stats returns traffic counters.
 func (c *Crossbar) Stats() *Stats { return c.stats }
 
-// Lookahead: a packet cannot be delivered before it wins arbitration and
-// crosses the switch, which takes at least SwitchDelay cycles.
-func (c *Crossbar) Lookahead() sim.Cycle { return c.switchDelay }
-
-var (
-	_ Network     = (*Crossbar)(nil)
-	_ Lookaheader = (*Crossbar)(nil)
-)
+var _ Network = (*Crossbar)(nil)

@@ -355,16 +355,4 @@ func (o *Omega) NextEvent(now sim.Cycle) sim.Cycle { return steppedNextEvent(o.P
 // both count as Delivered.
 func (o *Omega) Stats() *Stats { return o.stats }
 
-// Lookahead: a forward packet crosses one switch stage per cycle, so no
-// request injected at t can reach the memory side before t+Stages().
-func (o *Omega) Lookahead() sim.Cycle {
-	if o.k < 1 {
-		return 1
-	}
-	return sim.Cycle(o.k)
-}
-
-var (
-	_ Network     = (*Omega)(nil)
-	_ Lookaheader = (*Omega)(nil)
-)
+var _ Network = (*Omega)(nil)

@@ -159,8 +159,8 @@ func TestErrorContract(t *testing.T) {
 		{"minid syntax error", runBody(t, KindMiniID, "interp", "def main( = ;", nil), http.StatusBadRequest},
 		{"minid syntax error on ttda", runBody(t, KindMiniID, "ttda", "def main( = ;", nil), http.StatusBadRequest},
 		{"vnasm syntax error", runBody(t, KindVNAsm, "vn", "frob r1, r2", nil), http.StatusBadRequest},
-		{"shards out of range", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"shards":65}}`, http.StatusBadRequest},
-		{"epoch window without shards", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`, http.StatusBadRequest},
+		{"removed shards knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"shards":2}}`, http.StatusBadRequest},
+		{"removed epoch_window knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`, http.StatusBadRequest},
 		{"max_cycles over cap", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"max_cycles":600000000}}`, http.StatusBadRequest},
 		{"cycle budget exhausted", specBody(t, &JobSpec{Kind: KindVNAsm, Machine: "vn", Program: spinAsm, Config: &Config{MaxCycles: 100_000}}), http.StatusUnprocessableEntity},
 	}

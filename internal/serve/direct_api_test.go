@@ -58,13 +58,13 @@ func TestDirectKeyDiscriminatesFromInterp(t *testing.T) {
 // model, so every cycle-model knob is inapplicable and must be zeroed
 // away exactly like the interpreter's — two specs differing only in
 // knobs the backend ignores share one cache entry. The same knobs on the
-// TTDA remain meaningful (epoch_window without shards is still 400
-// there), pinning that the zeroing is per-machine, not global.
+// TTDA remain meaningful, pinning that the zeroing is per-machine, not
+// global.
 func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 	bare := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21}})
 	knobbed := normKey(t, &JobSpec{
 		Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21},
-		Config: &Config{PEs: 9, NetLatency: 5, Shards: 65, EpochWindow: 8, Compiled: true, Contexts: 3, MemLatency: 7, Combining: true},
+		Config: &Config{PEs: 9, NetLatency: 5, Compiled: true, Contexts: 3, MemLatency: 7, Combining: true},
 	})
 	if bare != knobbed {
 		t.Fatalf("inapplicable cycle-model knobs fragmented the cache: %s vs %s", bare, knobbed)
@@ -79,14 +79,16 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 		t.Fatal("max_cycles does not participate in the direct cache key")
 	}
 
-	s := newTestServer(t, Options{})
-	ttda := `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`
-	if rr := doJSON(t, s, "POST", "/v1/run", ttda); rr.Code != http.StatusBadRequest {
-		t.Fatalf("ttda epoch_window without shards: status %d, want 400: %s", rr.Code, rr.Body)
+	ttdaBare := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{21}})
+	ttdaPEs := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{21}, Config: &Config{PEs: 9}})
+	if ttdaBare == ttdaPEs {
+		t.Fatal("pes does not participate in the ttda cache key")
 	}
-	direct := `{"kind":"minid","machine":"direct","program":"def main(n) = n;","args":[3],"config":{"epoch_window":8}}`
+
+	s := newTestServer(t, Options{})
+	direct := `{"kind":"minid","machine":"direct","program":"def main(n) = n;","args":[3],"config":{"pes":9,"compiled":true}}`
 	if rr := doJSON(t, s, "POST", "/v1/run", direct); rr.Code != http.StatusOK {
-		t.Fatalf("direct with zeroed epoch_window: status %d, want 200: %s", rr.Code, rr.Body)
+		t.Fatalf("direct with zeroed ttda knobs: status %d, want 200: %s", rr.Code, rr.Body)
 	}
 }
 

@@ -7,9 +7,8 @@
 // hash of (program, machine, config, code version).
 //
 // The design leans on the repository's central property: every
-// simulation is deterministic, bit-for-bit, at any shard count, window
-// setting, or execution mode (the conformance suite's eight oracle
-// families enforce it). Determinism is what makes the cache exact — a
+// simulation is deterministic, bit-for-bit, in either execution mode
+// (the conformance suite's seven oracle families enforce it). Determinism is what makes the cache exact — a
 // hit is not an approximation of a rerun, it *is* the rerun, byte for
 // byte — and what makes coalescing safe: concurrent identical
 // submissions can share one execution because there is exactly one
@@ -47,12 +46,6 @@ type Config struct {
 	// PEs and NetLatency configure the TTDA (defaults 4 and 2).
 	PEs        int    `json:"pes,omitempty"`
 	NetLatency uint64 `json:"net_latency,omitempty"`
-	// Shards and EpochWindow select the conservative parallel kernel on
-	// the machines that shard (ttda, cmmp, cmstar, ultra, hep). Results
-	// are bit-identical at any setting; they still key the cache, which
-	// keeps the stored engine counters exact for the mode that ran.
-	Shards      int `json:"shards,omitempty"`
-	EpochWindow int `json:"epoch_window,omitempty"`
 	// Compiled runs the TTDA through the ahead-of-time compiled plan.
 	Compiled bool `json:"compiled,omitempty"`
 	// Contexts and MemLatency configure the single-core vn machine
@@ -158,7 +151,6 @@ func (s *JobSpec) normalize() error {
 	}
 
 	// Per-machine defaults, and zeroing of inapplicable knobs.
-	shards, window := c.Shards, c.EpochWindow
 	contexts, memLat := c.Contexts, c.MemLatency
 	pes, netLat := c.PEs, c.NetLatency
 	combining, compiled := c.Combining, c.Compiled
@@ -174,7 +166,7 @@ func (s *JobSpec) normalize() error {
 		if c.NetLatency == 0 {
 			c.NetLatency = 2
 		}
-		c.Shards, c.EpochWindow, c.Compiled = shards, window, compiled
+		c.Compiled = compiled
 	case "vn":
 		c.Contexts, c.MemLatency = contexts, memLat
 		if c.Contexts <= 0 {
@@ -184,15 +176,7 @@ func (s *JobSpec) normalize() error {
 			c.MemLatency = 4
 		}
 	case "ultra":
-		c.Shards, c.Combining = shards, combining
-	default: // cmmp, cmstar, hep
-		c.Shards = shards
-	}
-	if c.Shards < 0 || c.Shards > 64 {
-		return errf(http.StatusBadRequest, "shards %d out of range [0,64]", c.Shards)
-	}
-	if c.Shards <= 1 && c.EpochWindow != 0 {
-		return errf(http.StatusBadRequest, "epoch_window requires shards > 1")
+		c.Combining = combining
 	}
 	return nil
 }
@@ -208,8 +192,8 @@ func (s *JobSpec) Key(codeVersion string) string {
 	c := s.Config
 	fmt.Fprintf(h, "critique-serve/1\ncode=%s\n", codeVersion)
 	fmt.Fprintf(h, "experiment=%s\nkind=%s\nmachine=%s\nargs=%v\n", s.Experiment, s.Kind, s.Machine, s.Args)
-	fmt.Fprintf(h, "pes=%d net_latency=%d shards=%d epoch_window=%d compiled=%t contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
-		c.PEs, c.NetLatency, c.Shards, c.EpochWindow, c.Compiled, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
+	fmt.Fprintf(h, "pes=%d net_latency=%d compiled=%t contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
+		c.PEs, c.NetLatency, c.Compiled, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
 	fmt.Fprintf(h, "program=%d\n%s", len(s.Program), s.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -250,6 +250,16 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
+// Driver is the engine surface a machine exposes through its Engine
+// method: component registration, the clock, and the scheduling counters.
+type Driver interface {
+	Register(c Component)
+	Now() Cycle
+	Counters() Counters
+}
+
+var _ Driver = (*Engine)(nil)
+
 // --- wake-queue plumbing ---
 
 // heapLess orders the future heap by (wake cycle, registration index), so

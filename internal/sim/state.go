@@ -363,40 +363,6 @@ func sortU32(keys []uint32) {
 
 // --- engine state -----------------------------------------------------
 
-// engineCore is the serialized clock/counter/wake-queue state shared by
-// Engine and ParallelEngine.
-type engineCore struct {
-	now, prevTick, stride, busyHorizon, gridAnchor Cycle
-	stepsExecuted, cyclesSkipped, wakesEnqueued    uint64
-}
-
-func saveEngineCore(e *Enc, c engineCore) {
-	e.Cycle(c.now)
-	e.Cycle(c.prevTick)
-	e.Cycle(c.stride)
-	e.Cycle(c.busyHorizon)
-	e.Cycle(c.gridAnchor)
-	e.U64(c.stepsExecuted)
-	e.U64(c.cyclesSkipped)
-	e.U64(c.wakesEnqueued)
-}
-
-func loadEngineCore(d *Dec) engineCore {
-	var c engineCore
-	c.now = d.Cycle()
-	c.prevTick = d.Cycle()
-	c.stride = d.Cycle()
-	c.busyHorizon = d.Cycle()
-	c.gridAnchor = d.Cycle()
-	c.stepsExecuted = d.U64()
-	c.cyclesSkipped = d.U64()
-	c.wakesEnqueued = d.U64()
-	if c.stride < 1 {
-		d.Failf("engine stride %d < 1", c.stride)
-	}
-	return c
-}
-
 // saveWakeQueue writes each component's armed state in index order —
 // canonical regardless of the heap's internal array layout.
 func saveWakeQueue(e *Enc, wake []Cycle, pos []int) {
@@ -419,12 +385,14 @@ func (e *Engine) SaveState(enc *Enc) {
 	}
 	enc.Tag("engine", 1)
 	enc.Bool(e.legacy)
-	saveEngineCore(enc, engineCore{
-		now: e.now, prevTick: e.prevTick, stride: e.stride,
-		busyHorizon: e.busyHorizon, gridAnchor: e.gridAnchor,
-		stepsExecuted: e.stepsExecuted, cyclesSkipped: e.cyclesSkipped,
-		wakesEnqueued: e.wakesEnqueued,
-	})
+	enc.Cycle(e.now)
+	enc.Cycle(e.prevTick)
+	enc.Cycle(e.stride)
+	enc.Cycle(e.busyHorizon)
+	enc.Cycle(e.gridAnchor)
+	enc.U64(e.stepsExecuted)
+	enc.U64(e.cyclesSkipped)
+	enc.U64(e.wakesEnqueued)
 	saveWakeQueue(enc, e.wake, e.pos)
 }
 
@@ -439,7 +407,12 @@ func (e *Engine) LoadState(d *Dec) error {
 		return err
 	}
 	legacy := d.Bool()
-	c := loadEngineCore(d)
+	now, prevTick, stride := d.Cycle(), d.Cycle(), d.Cycle()
+	busyHorizon, gridAnchor := d.Cycle(), d.Cycle()
+	steps, skipped, wakes := d.U64(), d.U64(), d.U64()
+	if d.Err() == nil && stride < 1 {
+		d.Failf("engine stride %d < 1", stride)
+	}
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -453,9 +426,9 @@ func (e *Engine) LoadState(d *Dec) error {
 	if n != len(e.components) {
 		return fmt.Errorf("checkpoint: %d components, machine has %d", n, len(e.components))
 	}
-	e.now, e.prevTick, e.stride = c.now, c.prevTick, c.stride
-	e.busyHorizon, e.gridAnchor = c.busyHorizon, c.gridAnchor
-	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = c.stepsExecuted, c.cyclesSkipped, c.wakesEnqueued
+	e.now, e.prevTick, e.stride = now, prevTick, stride
+	e.busyHorizon, e.gridAnchor = busyHorizon, gridAnchor
+	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = steps, skipped, wakes
 	e.fheap = e.fheap[:0]
 	for i := range e.components {
 		e.pos[i] = -1
@@ -490,96 +463,4 @@ func (e *Engine) LoadState(d *Dec) error {
 	return nil
 }
 
-// SaveState implements Stateful for the parallel engine; the format
-// mirrors Engine's plus the per-worker step counters.
-func (e *ParallelEngine) SaveState(enc *Enc) {
-	if e.stepping >= 0 || len(e.due) > 0 || e.inPhase || e.inCommit {
-		panic("sim: ParallelEngine.SaveState mid-tick")
-	}
-	if e.inWindow {
-		// Inside a multi-tick epoch window the shards' local clocks have
-		// diverged and deferred ops may be pending commit; only window
-		// boundaries are checkpointable states (Run clamps every window to
-		// the pause limit, so pauses always land on one).
-		panic("sim: ParallelEngine.SaveState mid-window — epoch windows only checkpoint at window boundaries")
-	}
-	enc.Tag("parengine", 1)
-	saveEngineCore(enc, engineCore{
-		now: e.now, prevTick: e.prevTick, stride: e.stride,
-		busyHorizon: e.busyHorizon, gridAnchor: e.gridAnchor,
-		stepsExecuted: e.stepsExecuted, cyclesSkipped: e.cyclesSkipped,
-		wakesEnqueued: e.wakesEnqueued,
-	})
-	enc.Len(len(e.workerSteps))
-	for _, w := range e.workerSteps {
-		enc.U64(w)
-	}
-	saveWakeQueue(enc, e.wake, e.pos)
-}
-
-// LoadState implements Stateful for the parallel engine.
-func (e *ParallelEngine) LoadState(d *Dec) error {
-	if err := d.Tag("parengine", 1); err != nil {
-		return err
-	}
-	c := loadEngineCore(d)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	nw := d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nw != len(e.workerSteps) {
-		return fmt.Errorf("checkpoint: %d shard runners, machine has %d", nw, len(e.workerSteps))
-	}
-	ws := make([]uint64, nw)
-	for i := range ws {
-		ws[i] = d.U64()
-	}
-	n := d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(e.components) {
-		return fmt.Errorf("checkpoint: %d components, machine has %d", n, len(e.components))
-	}
-	e.now, e.prevTick, e.stride = c.now, c.prevTick, c.stride
-	e.busyHorizon, e.gridAnchor = c.busyHorizon, c.gridAnchor
-	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = c.stepsExecuted, c.cyclesSkipped, c.wakesEnqueued
-	copy(e.workerSteps, ws)
-	e.fheap = e.fheap[:0]
-	for i := range e.components {
-		e.pos[i] = -1
-		e.wake[i] = Never
-		e.inDue[i] = false
-	}
-	e.due = e.due[:0]
-	e.stepping = -1
-	for i := 0; i < n; i++ {
-		if d.Bool() {
-			at := d.Cycle()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			// Same prevTick bound and clamp-free insertion as Engine.
-			if at < e.prevTick {
-				return fmt.Errorf("checkpoint: component %d armed at %d before tick %d", i, at, e.prevTick)
-			}
-			e.wake[i] = at
-			e.pos[i] = len(e.fheap)
-			e.fheap = append(e.fheap, i)
-			e.heapUp(len(e.fheap) - 1)
-		}
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	e.resumePending = true
-	return nil
-}
-
-var (
-	_ Stateful = (*Engine)(nil)
-	_ Stateful = (*ParallelEngine)(nil)
-)
+var _ Stateful = (*Engine)(nil)

@@ -70,10 +70,7 @@ type statefulComp interface {
 
 // stateRig bundles an engine with its components as one Stateful machine.
 type stateRig struct {
-	eng interface {
-		Stateful
-		Run(done func() bool, limit Cycle) (Cycle, bool)
-	}
+	eng   *Engine
 	comps []statefulComp
 }
 
@@ -112,25 +109,16 @@ func (r *stateRig) run(t *testing.T, limit Cycle) bool {
 // newChainRig builds the mixed rig every test uses: a short chain that
 // goes idle early (Never sentinel), a long sparse chain (pending heap
 // entries), and a greedy component (same-tick wakes).
-func newChainRig(parallel bool) *stateRig {
+func newChainRig() *stateRig {
 	r := &stateRig{}
 	r.comps = []statefulComp{
 		&chainComp{at: []Cycle{2, 3}},
 		&chainComp{at: []Cycle{1, 10, 20, 40}},
 		&greedyComp{left: 12},
 	}
-	if parallel {
-		eng := NewParallelEngine()
-		eng.Register(r.comps[0])
-		eng.RegisterShard(r.comps[1])
-		eng.RegisterShard(r.comps[2])
-		r.eng = eng
-	} else {
-		eng := NewEngine()
-		for _, c := range r.comps {
-			eng.Register(c)
-		}
-		r.eng = eng
+	r.eng = NewEngine()
+	for _, c := range r.comps {
+		r.eng.Register(c)
 	}
 	return r
 }
@@ -138,14 +126,7 @@ func newChainRig(parallel bool) *stateRig {
 // armedSet reads the engine's wake queue as (armed, at) pairs in component
 // index order — the canonical form saveWakeQueue writes.
 func armedSet(r *stateRig) (armed []bool, at []Cycle) {
-	var wake []Cycle
-	var pos []int
-	switch e := r.eng.(type) {
-	case *Engine:
-		wake, pos = e.wake, e.pos
-	case *ParallelEngine:
-		wake, pos = e.wake, e.pos
-	}
+	wake, pos := r.eng.wake, r.eng.pos
 	for i := range wake {
 		armed = append(armed, pos[i] >= 0)
 		if pos[i] >= 0 {
@@ -174,23 +155,23 @@ func minArmed(r *stateRig) Cycle {
 // into another fresh rig, and demands: canonical re-encoding, identical
 // armed set and next wake, and a resumed run whose end state is
 // byte-identical to the uninterrupted run's.
-func roundTrip(t *testing.T, parallel bool, pause Cycle) {
+func roundTrip(t *testing.T, pause Cycle) {
 	t.Helper()
 	const limit = 1000
 
-	ref := newChainRig(parallel)
+	ref := newChainRig()
 	if !ref.run(t, limit) {
 		t.Fatal("reference run did not finish")
 	}
 	refBytes := Checkpoint(ref)
 
-	m := newChainRig(parallel)
+	m := newChainRig()
 	if m.run(t, pause) {
 		t.Fatalf("run finished within %d cycles", pause)
 	}
 	data := Checkpoint(m)
 
-	fresh := newChainRig(parallel)
+	fresh := newChainRig()
 	if err := Restore(fresh, data); err != nil {
 		t.Fatalf("restore at cycle %d: %v", pause, err)
 	}
@@ -227,7 +208,7 @@ func roundTrip(t *testing.T, parallel bool, pause Cycle) {
 // idle: its queue slot must survive Save→Load as unarmed.
 func TestWakeQueueNeverSentinelRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{5, 8} {
-		roundTrip(t, false, pause)
+		roundTrip(t, pause)
 	}
 }
 
@@ -236,7 +217,7 @@ func TestWakeQueueNeverSentinelRoundTrip(t *testing.T) {
 // one tick below the clock — LoadState must admit it unclamped.
 func TestWakeQueueSameTickArmRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{1, 3, 11} {
-		roundTrip(t, false, pause)
+		roundTrip(t, pause)
 	}
 }
 
@@ -244,22 +225,14 @@ func TestWakeQueueSameTickArmRoundTrip(t *testing.T) {
 // the heap (the sparse chain's 20- and 40-cycle events still pending).
 func TestWakeQueuePendingHeapRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{13, 19, 25, 39} {
-		roundTrip(t, false, pause)
-	}
-}
-
-// TestWakeQueueParallelEngineRoundTrip repeats all three shapes on the
-// conservative parallel kernel.
-func TestWakeQueueParallelEngineRoundTrip(t *testing.T) {
-	for _, pause := range []Cycle{3, 8, 11, 25, 39} {
-		roundTrip(t, true, pause)
+		roundTrip(t, pause)
 	}
 }
 
 // TestWakeQueueRejectsPreTickArm pins the LoadState bound: an arm before
 // prevTick is corrupt, not clampable.
 func TestWakeQueueRejectsPreTickArm(t *testing.T) {
-	m := newChainRig(false)
+	m := newChainRig()
 	if m.run(t, 15) {
 		t.Fatal("run finished unexpectedly")
 	}
@@ -269,18 +242,18 @@ func TestWakeQueueRejectsPreTickArm(t *testing.T) {
 	// (now first, prevTick second), ... wake entries. Rather than patch
 	// bytes at a fragile offset, rebuild a stream with an impossible arm by
 	// saving a doctored rig.
-	bad := newChainRig(false)
+	bad := newChainRig()
 	if err := Restore(bad, data); err != nil {
 		t.Fatal(err)
 	}
-	eng := bad.eng.(*Engine)
+	eng := bad.eng
 	for i := range eng.pos {
 		if eng.pos[i] >= 0 {
 			eng.wake[i] = 0 // before any executed tick
 		}
 	}
 	corrupted := Checkpoint(bad)
-	if err := Restore(newChainRig(false), corrupted); err == nil {
+	if err := Restore(newChainRig(), corrupted); err == nil {
 		t.Fatal("restore accepted a wake armed before the last executed tick")
 	}
 }
