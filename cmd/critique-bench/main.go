@@ -55,7 +55,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	confSmoke := flag.Int("conformance", 0, "run N seeds of the cross-machine conformance harness and exit (nonzero exit on any violation)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "bound the parallel sweep runner's worker pool for experiment and conformance sweeps (<= 0 = GOMAXPROCS; results are identical at any setting)")
-	compiled := flag.Bool("compiled", false, "run TTDA simulations through the ahead-of-time compiled execution plan (results are bit-identical either way)")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "run the kernel workload pausing every N cycles to checkpoint, verify the split run is cycle-for-cycle identical to a straight run, and exit")
 	ckptOut := flag.String("checkpoint-out", "critique-bench.ckpt", "checkpoint file for -checkpoint-every")
 	resumeFrom := flag.String("resume", "", "resume the kernel workload from this checkpoint file, verify against a straight run, and exit")
@@ -114,7 +113,7 @@ func main() {
 	}
 
 	sweepStart := time.Now()
-	opt := experiments.Options{Quick: *quick, Compiled: *compiled, SweepWorkers: *sweepWorkers}
+	opt := experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers}
 	selected := experiments.Selected(opt, *ablations, func(id string) bool { return len(want) == 0 || want[id] })
 	sweepWall := time.Since(sweepStart)
 	failed := 0
@@ -155,8 +154,11 @@ func main() {
 // added the direct-execution oracle backend fields
 // (direct_wall_ms_per_run, direct_mfirings_per_sec,
 // direct_speedup_vs_interpreted). Version 4 removed the parallel kernel's
-// fields (kernel_shards, barrier_ns_per_epoch) and added num_cpu.
-const benchSchemaVersion = 4
+// fields (kernel_shards, barrier_ns_per_epoch) and added num_cpu. Version
+// 5 removed compiled_kernel_wall_ms_per_run and compiled_mcycles_per_sec:
+// the TTDA has one execution path, the compiled plan, which the kernel_*
+// fields already time.
+const benchSchemaVersion = 5
 
 // checkpointSelfCheck demonstrates and verifies split-run bit-identity on
 // the kernel workload (matmul(4) on 8 PEs): a run paused every `every`
@@ -260,15 +262,10 @@ type benchReport struct {
 	McyclesPerSec   float64 `json:"mcycles_per_sec"`
 	MinstrPerSec    float64 `json:"minstr_per_sec"`
 	// CompileMs is the one-time graph.Compile cost (constant folding and
-	// dead-arc elimination included) for the kernel program, and
-	// CompiledMcyclesPerSec the kernel's throughput when the machine runs
-	// the precompiled plan instead of interpreting the graph. Simulated
-	// cycles are bit-identical between the two modes; only wall time moves.
-	CompileMs             float64 `json:"compile_ms"`
-	CompiledKernelWallMs  float64 `json:"compiled_kernel_wall_ms_per_run"`
-	CompiledMcyclesPerSec float64 `json:"compiled_mcycles_per_sec"`
+	// dead-arc elimination included) for the kernel program.
+	CompileMs float64 `json:"compile_ms"`
 	// DirectWorkloads times the direct-execution oracle backend against
-	// the interpreted TTDA (8 PEs, same program and argument, results and
+	// the TTDA (8 PEs, same program and argument, results and
 	// firing counts asserted bit-identical to the reference interpreter on
 	// every run): one row per workload, because the speedup is shape-
 	// dependent — loop-circulation firings collapse into native Go loops
@@ -459,28 +456,11 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 	}
 	wall := time.Since(start)
 
-	// Compiled mode on the same kernel: one plan build (timed), then the
-	// same run loop against the plan. Bit-identity with the interpreted
-	// runs above is asserted, not assumed.
 	compileStart := time.Now()
-	plan, err := graph.Compile(prog, graph.WithConstantFolding(), graph.WithDeadArcElimination())
-	if err != nil {
+	if _, err := graph.Compile(prog, graph.WithConstantFolding(), graph.WithDeadArcElimination()); err != nil {
 		return err
 	}
 	compileWall := time.Since(compileStart)
-	var cCycles uint64
-	cStart := time.Now()
-	for i := 0; i < runs; i++ {
-		m := core.NewMachineWithPlan(core.Config{PEs: 8}, plan)
-		if _, err := m.Run(1_000_000_000, token.Int(4)); err != nil {
-			return err
-		}
-		cCycles = m.Summarize().Cycles
-	}
-	cWall := time.Since(cStart)
-	if cCycles != cycles {
-		return fmt.Errorf("compiled kernel simulated %d cycles, interpreted %d — bit-identity broken", cCycles, cycles)
-	}
 
 	directRows, err := benchDirect(quick)
 	if err != nil {
@@ -513,9 +493,7 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 		SweepWorkers: sweepWorkers,
 		SweepScaling: benchSweepScaling(quick),
 
-		CompileMs:             float64(compileWall.Microseconds()) / 1e3,
-		CompiledKernelWallMs:  float64(cWall.Microseconds()) / 1e3 / float64(runs),
-		CompiledMcyclesPerSec: float64(cCycles) * float64(runs) / fmaxf(1e-9, cWall.Seconds()) / 1e6,
+		CompileMs: float64(compileWall.Microseconds()) / 1e3,
 
 		DirectWorkloads: directRows,
 	}
@@ -542,8 +520,8 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 		f.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "critique-bench: wrote %s (%.2f Mcycles/s interpreted, %.2f compiled, direct %s %.3f ms/run = %.0fx, compile %.1f ms, sweep %.0f ms)\n",
-		path, rep.McyclesPerSec, rep.CompiledMcyclesPerSec, rep.DirectProgram, rep.DirectWallMs, rep.DirectSpeedup, rep.CompileMs, rep.SweepWallMs)
+	fmt.Fprintf(os.Stderr, "critique-bench: wrote %s (%.2f Mcycles/s, direct %s %.3f ms/run = %.0fx, compile %.1f ms, sweep %.0f ms)\n",
+		path, rep.McyclesPerSec, rep.DirectProgram, rep.DirectWallMs, rep.DirectSpeedup, rep.CompileMs, rep.SweepWallMs)
 	return f.Close()
 }
 
@@ -552,9 +530,9 @@ func writeBench(path string, quick bool, sweepWorkers int, selected []experiment
 // into native control flow and the backend earns its keep.
 const directHeadline = "sumloop(20000)"
 
-// directBench is one row of the direct-vs-interpreted table: the same
-// program and argument on the interpreted TTDA (8 PEs) and on the
-// direct-execution oracle backend.
+// directBench is one row of the direct-vs-TTDA table: the same program
+// and argument on the TTDA (8 PEs) and on the direct-execution oracle
+// backend.
 type directBench struct {
 	Program           string  `json:"program"`
 	Arg               int64   `json:"arg"`
@@ -566,8 +544,8 @@ type directBench struct {
 	Speedup           float64 `json:"speedup_vs_interpreted"`
 }
 
-// benchDirect measures the direct backend against the interpreted TTDA
-// on three workload shapes. Every direct run's results are asserted
+// benchDirect measures the direct backend against the TTDA on three
+// workload shapes. Every direct run's results are asserted
 // bit-identical to the reference interpreter's, and the firing count
 // must match too (the firing multiset of a dataflow graph is
 // schedule-invariant). The direct side gets many more reps than the

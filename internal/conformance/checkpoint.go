@@ -18,7 +18,7 @@ import (
 	"repro/internal/vn"
 )
 
-// --- oracle 6: checkpoint equivalence ---------------------------------
+// --- oracle 5: checkpoint equivalence ---------------------------------
 //
 // For every machine in the fleet: run the generated program straight
 // through, then run it again paused at a seed-derived mid-run cycle,
@@ -119,8 +119,8 @@ type ttdaAdapter struct {
 	res  []token.Value
 }
 
-func newTTDAAdapter(c *compiled, compiledPlan bool) *ttdaAdapter {
-	m := core.NewMachine(core.Config{PEs: 2, NetLatency: 4, Compiled: compiledPlan}, c.prog)
+func newTTDAAdapter(c *compiled) *ttdaAdapter {
+	m := core.NewMachineWithPlan(core.Config{PEs: 2, NetLatency: 4}, c.plan)
 	return &ttdaAdapter{m: m, args: c.args}
 }
 
@@ -179,8 +179,7 @@ func (a *vliwAdapter) snapshot() (Snapshot, error) {
 	}, nil
 }
 
-// checkCheckpoint runs the split-run check across the fleet, crossing the
-// TTDA with the compiled plan.
+// checkCheckpoint runs the split-run check across the fleet.
 func checkCheckpoint(ct *counter, c *compiled) {
 	rng := sim.NewRNG(c.w.Seed ^ 0x5EEDC4C7)
 
@@ -203,8 +202,7 @@ func checkCheckpoint(ct *counter, c *compiled) {
 		name  string
 		build func() resumable
 	}{
-		{"ttda", func() resumable { return newTTDAAdapter(c, false) }},
-		{"ttda/compiled", func() resumable { return newTTDAAdapter(c, true) }},
+		{"ttda", func() resumable { return newTTDAAdapter(c) }},
 		{"vn", func() resumable {
 			m := newVNMachine(c, 2, 4)
 			return &baselineAdapter{m: m, snap: vnSnap(
@@ -382,7 +380,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	a := newTTDAAdapter(c, false)
+	a := newTTDAAdapter(c)
 	done, err := a.run(at)
 	if err != nil {
 		return "", err
@@ -394,7 +392,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	fresh := newTTDAAdapter(c, false)
+	fresh := newTTDAAdapter(c)
 	if err := sim.Restore(fresh, data); err != nil {
 		return "", fmt.Errorf("written checkpoint does not restore: %v", err)
 	}

@@ -118,7 +118,7 @@ func TestMaterializeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newTTDAAdapter(c, false)
+	a := newTTDAAdapter(c)
 	if err := sim.Restore(a, data); err != nil {
 		t.Fatalf("artifact does not restore: %v", err)
 	}

@@ -186,7 +186,7 @@ func TestSweepReport(t *testing.T) {
 	if len(r.Violations) != 0 {
 		t.Fatalf("unexpected violations: %v", r.Violations)
 	}
-	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCompiled, OracleCheckpoint, OracleDirect} {
+	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCheckpoint, OracleDirect} {
 		if r.PerOracle[o] == 0 {
 			t.Fatalf("oracle family %q ran zero checks", o)
 		}

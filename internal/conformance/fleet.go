@@ -57,13 +57,14 @@ func coreStats(s *Snapshot, c *vn.Core) {
 	s.Retired = st.Retired.Value()
 }
 
-// compiled caches the two compiled forms of a workload so every runner
-// shares identical inputs.
+// compiled caches the compiled forms of a workload so every runner shares
+// identical inputs.
 type compiled struct {
 	w    Workload
-	prog *graph.Program // dataflow graph (TTDA, emulator, interpreter)
-	asm  *vn.Program    // vn machine code (all Section-1.2 baselines)
-	args []token.Value  // entry tokens for the dataflow forms
+	prog *graph.Program       // dataflow graph (emulator, interpreter)
+	plan *graph.CompiledGraph // prog's execution plan (every TTDA run)
+	asm  *vn.Program          // vn machine code (all Section-1.2 baselines)
+	args []token.Value        // entry tokens for the dataflow forms
 }
 
 func compile(w Workload) (*compiled, error) {
@@ -75,11 +76,15 @@ func compile(w Workload) (*compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("entry args: %v", err)
 	}
+	plan, err := graph.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("compile plan: %v", err)
+	}
 	asm, err := vn.Assemble(w.ASMSource())
 	if err != nil {
 		return nil, fmt.Errorf("assemble vn form: %v", err)
 	}
-	return &compiled{w: w, prog: prog, asm: asm, args: args}, nil
+	return &compiled{w: w, prog: prog, plan: plan, asm: asm, args: args}, nil
 }
 
 // runInterp executes the reference interpreter and returns the answer
@@ -106,10 +111,9 @@ func forceLegacy(e interface{ Register(sim.Component) }) {
 }
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
-// machine. compiledPlan selects the ahead-of-time compiled dispatch core, which the compiled-equivalence
-// oracle pins against the interpreted core.
-func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy, compiledPlan bool) (Snapshot, error) {
-	m := core.NewMachine(core.Config{PEs: pes, NetLatency: netLatency, Compiled: compiledPlan}, c.prog)
+// machine.
+func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool) (Snapshot, error) {
+	m := core.NewMachineWithPlan(core.Config{PEs: pes, NetLatency: netLatency}, c.plan)
 	if legacy {
 		forceLegacy(m.Engine())
 	}

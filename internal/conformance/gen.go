@@ -2,7 +2,7 @@
 // seeded random workload generator that emits each program in two
 // executable forms — a MiniID source compiled through internal/id and
 // internal/graph for the dataflow machines, and a matching vn assembly
-// program for the von Neumann baselines — plus seven oracle families run
+// program for the von Neumann baselines — plus six oracle families run
 // over the whole machine fleet:
 //
 //	result equivalence — every machine produces the same numeric answer;
@@ -15,8 +15,6 @@
 //	                     Ultracomputer on a FETCH-AND-ADD-heavy workload;
 //	engine honesty     — the wake-queue engine run matches the legacy
 //	                     exhaustive-fallback run for every generated case;
-//	compiled           — the TTDA's compiled plan matches its interpreted
-//	                     core on the full snapshot;
 //	checkpoint         — a run split by a checkpoint/restore round trip
 //	                     matches the uninterrupted run;
 //	direct execution   — the direct backend's answer and firing count

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vn"
 )
 
-// Oracle names the seven check families.
+// Oracle names the six check families.
 type Oracle string
 
 // Oracle families.
@@ -20,7 +20,6 @@ const (
 	OracleDeterminism Oracle = "determinism"
 	OracleMetamorphic Oracle = "metamorphic"
 	OracleHonesty     Oracle = "engine-honesty"
-	OracleCompiled    Oracle = "compiled-equivalence"
 	OracleCheckpoint  Oracle = "checkpoint-equivalence"
 	OracleDirect      Oracle = "direct-equivalence"
 )
@@ -105,7 +104,7 @@ func (c *counter) fail(o Oracle, machine string, err error) {
 	c.check(o, machine, false, func() string { return err.Error() })
 }
 
-// CheckSeed generates workload seed and runs all seven oracle families
+// CheckSeed generates workload seed and runs all six oracle families
 // over the machine fleet, returning every violation (empty means the
 // fleet conforms on this program).
 func CheckSeed(seed uint64) []Violation {
@@ -128,7 +127,6 @@ func checkSeed(seed uint64) (*counter, []Violation) {
 	checkDeterminism(ct, c)
 	checkMetamorphic(ct, c)
 	checkHonesty(ct, c)
-	checkCompiled(ct, c)
 	checkCheckpoint(ct, c)
 	checkDirect(ct, c)
 	return ct, ct.vs
@@ -151,7 +149,7 @@ func checkResults(ct *counter, c *compiled) {
 	iv, _, err := runInterp(c)
 	expect("interp", iv, err)
 
-	ts, err := runTTDA(c, 2, 4, false, false)
+	ts, err := runTTDA(c, 2, 4, false)
 	expect("ttda", ts.Result, err)
 
 	ev, err := runEmulator(c, 4)
@@ -193,7 +191,7 @@ func checkDeterminism(ct *counter, c *compiled) {
 		})
 	}
 
-	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false, false) })
+	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false) })
 	twice("vn", func() (Snapshot, error) { return runVN(c, 2, 4, true) })
 	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false) })
 	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false) })
@@ -274,7 +272,7 @@ func checkMetamorphic(ct *counter, c *compiled) {
 		return
 	}
 	for _, pes := range []int{1, 2, 4} {
-		s, err := runTTDA(c, pes, 4, false, false)
+		s, err := runTTDA(c, pes, 4, false)
 		checkCriticalPathBound(ct, it.Depth(), pes, s.Cycles, err)
 	}
 
@@ -349,7 +347,7 @@ func checkHonesty(ct *counter, c *compiled) {
 		})
 	}
 
-	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l, false) })
+	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l) })
 	pair("vn", func(l bool) (Snapshot, error) { return runVN(c, 2, 4, !l) })
 	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l) })
 	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l) })
@@ -357,29 +355,7 @@ func checkHonesty(ct *counter, c *compiled) {
 	pair("hep", func(l bool) (Snapshot, error) { return runHEP(c, l) })
 }
 
-// --- oracle 5: compiled-vs-interpreted equivalence --------------------
-
-// checkCompiled runs the TTDA once through the interpreted dispatch core
-// and once through the ahead-of-time compiled plan, at 2 and 4 PEs,
-// demanding the FULL snapshot — results, cycles, machine statistics, and
-// the engine's own counters — be bit-identical. Compilation is a pure
-// host-side speedup: it may not perturb even the scheduler's wake pattern.
-func checkCompiled(ct *counter, c *compiled) {
-	for _, pes := range []int{2, 4} {
-		name := fmt.Sprintf("ttda/pes=%d", pes)
-		interp, err1 := runTTDA(c, pes, 4, false, false)
-		plan, err2 := runTTDA(c, pes, 4, false, true)
-		if err1 != nil || err2 != nil {
-			ct.fail(OracleCompiled, name, fmt.Errorf("run errors: %v / %v", err1, err2))
-			continue
-		}
-		ct.checkAt(OracleCompiled, name, interp.Cycles, interp == plan, func() string {
-			return fmt.Sprintf("compiled run diverged from interpreted (full snapshot):\n  interpreted %+v\n  compiled    %+v", interp, plan)
-		})
-	}
-}
-
-// --- oracle 7: direct-execution equivalence ---------------------------
+// --- oracle 6: direct-execution equivalence ---------------------------
 
 // directRun executes the program on the direct-execution oracle backend
 // and returns its single integer result plus the firing count. It is a
@@ -460,7 +436,7 @@ func SweepOpts(n, workers int) Report {
 func (r Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conformance: %d programs, %d checks", r.Programs, r.Checks)
-	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCompiled, OracleCheckpoint, OracleDirect} {
+	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleCheckpoint, OracleDirect} {
 		fmt.Fprintf(&b, ", %s=%d", o, r.PerOracle[o])
 	}
 	if len(r.Violations) == 0 {

@@ -5,33 +5,19 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/id"
-	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
 
 // benchRun drives one full matmul(4) run on 8 PEs — the kernel point the
-// bench harness (cmd/critique-bench) reports mcycles_per_sec for.
-func benchRun(b *testing.B, compiled bool) {
-	prog, err := id.Compile(workload.MatMulID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var plan *graph.CompiledGraph
-	if compiled {
-		if plan, err = graph.Compile(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
+// bench harness (cmd/critique-bench) reports mcycles_per_sec for. newM
+// builds each run's machine: from the program (compiled inside Run) or
+// from a plan compiled once up front.
+func benchRun(b *testing.B, newM func() *Machine) {
 	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var m *Machine
-		if compiled {
-			m = NewMachineWithPlan(Config{PEs: 8}, plan)
-		} else {
-			m = NewMachine(Config{PEs: 8}, prog)
-		}
+		m := newM()
 		if _, err := m.Run(500_000_000, token.Int(4)); err != nil {
 			b.Fatal(err)
 		}
@@ -43,8 +29,25 @@ func benchRun(b *testing.B, compiled bool) {
 		secs := b.Elapsed().Seconds() / float64(b.N)
 		b.ReportMetric(perRun/secs/1e6, "mcycles/s")
 	}
-	_ = sim.Cycle(0)
 }
 
-func BenchmarkMatMul4Interpreted(b *testing.B) { benchRun(b, false) }
-func BenchmarkMatMul4Compiled(b *testing.B)    { benchRun(b, true) }
+func benchProgram(b *testing.B) *graph.Program {
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
+func BenchmarkMatMul4(b *testing.B) {
+	prog := benchProgram(b)
+	benchRun(b, func() *Machine { return NewMachine(Config{PEs: 8}, prog) })
+}
+
+func BenchmarkMatMul4Plan(b *testing.B) {
+	plan, err := graph.Compile(benchProgram(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRun(b, func() *Machine { return NewMachineWithPlan(Config{PEs: 8}, plan) })
+}

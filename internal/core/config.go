@@ -38,14 +38,6 @@ type Config struct {
 	// opcode at machine construction into a dense table.
 	OpTime func(graph.Opcode) sim.Cycle
 
-	// Compiled executes the ahead-of-time compiled plan (graph.Compile)
-	// instead of walking the IR per token. The plan is a pure host-side
-	// acceleration: simulated behaviour — results, cycle counts, every
-	// statistic, even the engine's scheduling counters — is bit-identical
-	// to the interpreted path, which the conformance suite's
-	// compiled-equivalence oracle and the -compiled golden runs enforce.
-	Compiled bool
-
 	// MatchBandwidth is how many tokens the waiting-matching section
 	// accepts per cycle. The default 2 models a dual-ported associative
 	// store so one two-operand instruction can be enabled per cycle.

@@ -19,11 +19,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current simulator")
 
-// -compiled runs every golden scenario through the ahead-of-time compiled
-// plan instead of the IR interpreter. The committed golden numbers must
-// not move: the plan is a pure host-side acceleration.
-var compiledGolden = flag.Bool("compiled", false, "execute golden scenarios in compiled (plan) mode")
-
 // peSnapshot is the deterministic per-PE statistics contract: every field
 // must be bit-identical run-to-run and across kernel optimizations.
 type peSnapshot struct {
@@ -123,11 +118,7 @@ func snapshotRun(t *testing.T, sc goldenScenario) runSnapshot {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", sc.name, err)
 	}
-	cfg := sc.cfg()
-	if *compiledGolden {
-		cfg.Compiled = true
-	}
-	m := NewMachine(cfg, prog)
+	m := NewMachine(sc.cfg(), prog)
 	res, err := m.Run(500_000_000, sc.args...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", sc.name, err)
@@ -235,29 +226,6 @@ func mustJSON(v interface{}) string {
 		return fmt.Sprintf("marshal error: %v", err)
 	}
 	return string(b)
-}
-
-// TestCompiledGoldenStats re-runs every golden scenario with
-// Config.Compiled set and requires the full snapshot — results, cycles,
-// every machine and per-PE statistic — to be bit-identical to the
-// interpreted run. This is the core's half of the compiled-equivalence
-// contract (the conformance suite checks it again across seeds and PE
-// counts, including engine scheduling counters).
-func TestCompiledGoldenStats(t *testing.T) {
-	if *compiledGolden {
-		t.Skip("-compiled already routes TestGoldenStats through the plan")
-	}
-	for _, sc := range goldenScenarios() {
-		base := snapshotRun(t, sc)
-		csc := sc
-		inner := sc.cfg
-		csc.cfg = func() Config { c := inner(); c.Compiled = true; return c }
-		comp := snapshotRun(t, csc)
-		if !reflect.DeepEqual(base, comp) {
-			t.Errorf("scenario %s: compiled mode diverged from interpreted:\n  interpreted: %s\n  compiled:    %s",
-				sc.name, mustJSON(base), mustJSON(comp))
-		}
-	}
 }
 
 // TestMachineDeterminism runs the same program twice on 8 PEs and requires

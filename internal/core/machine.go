@@ -23,9 +23,8 @@ import (
 type Machine struct {
 	cfg  Config
 	prog *graph.Program
-	// plan is the ahead-of-time compiled execution plan (Config.Compiled
-	// or NewMachineWithPlan); nil selects the IR-walking paths. Both paths
-	// simulate bit-identically — the plan only removes host-side work.
+	// plan is the execution plan (graph.Compile) the ALU stage walks: given
+	// to NewMachineWithPlan, or compiled on the first Run.
 	plan *graph.CompiledGraph
 	// opTimes is Config.OpTime sampled per opcode at construction, so the
 	// ALU issue path indexes a dense table instead of calling a closure.
@@ -85,10 +84,8 @@ type ctxRecord struct {
 	block       graph.BlockID
 	parent      token.ActivityName
 	parentBlock graph.BlockID
-	// returnDests (interpreted mode) and returnDestsC (compiled mode) name
-	// the caller-side receivers; exactly one is non-nil per machine mode.
-	returnDests  []graph.Dest
-	returnDestsC []graph.CDest
+	// returnDests name the caller-side receivers.
+	returnDests []graph.CDest
 	// reclamation state (see graph.Interp: non-strict calls may return
 	// before all arguments arrive)
 	argsSent int
@@ -110,7 +107,8 @@ type replyTag struct {
 	nt       uint8
 }
 
-// NewMachine builds a machine for the given program.
+// NewMachine builds a machine for the given program. The program is
+// validated and compiled to its execution plan on the first Run.
 func NewMachine(cfg Config, prog *graph.Program) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
@@ -154,13 +152,22 @@ func NewMachine(cfg Config, prog *graph.Program) *Machine {
 
 // NewMachineWithPlan builds a machine that executes a pre-compiled plan
 // (graph.Compile), amortizing compilation across many runs of the same
-// program. The machine simulates exactly what NewMachine with
-// Config.Compiled does.
+// program. The machine simulates exactly what NewMachine does.
 func NewMachineWithPlan(cfg Config, plan *graph.CompiledGraph) *Machine {
-	cfg.Compiled = true
 	m := NewMachine(cfg, plan.Prog)
 	m.plan = plan
 	return m
+}
+
+// ensurePlan validates and compiles the program unless the machine already
+// holds its plan (from NewMachineWithPlan or an earlier Run).
+func (m *Machine) ensurePlan() error {
+	if m.plan != nil {
+		return nil
+	}
+	var err error
+	m.plan, err = graph.Compile(m.prog)
+	return err
 }
 
 // idQueue is one active list: component ids holding work, sorted ascending
@@ -354,18 +361,11 @@ func (m *Machine) ctxLookup(u token.Context) *ctxRecord {
 	return m.ctxs[u]
 }
 
-// getContext allocates a fresh invocation context.
-func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.Dest) token.Context {
+// getContext allocates a fresh invocation context. Return destinations
+// come from the plan's lowered CDest arrays.
+func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.CDest) token.Context {
 	u, rec := m.allocCtx()
 	rec.block, rec.parent, rec.parentBlock, rec.returnDests = target, parent, parentBlock, returnDests
-	return u
-}
-
-// getContextC is getContext for the compiled path: return destinations come
-// from the plan's lowered CDest arrays.
-func (m *Machine) getContextC(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.CDest) token.Context {
-	u, rec := m.allocCtx()
-	rec.block, rec.parent, rec.parentBlock, rec.returnDestsC = target, parent, parentBlock, returnDests
 	return u
 }
 
@@ -373,7 +373,7 @@ func (m *Machine) getContextC(target graph.BlockID, parent token.ActivityName, p
 // every callee entry received its argument. The record goes on a free list
 // for reuse; callers must not touch rec afterwards.
 func (m *Machine) maybeFreeContext(u token.Context, rec *ctxRecord) {
-	if rec.returned && rec.argsSent >= len(m.prog.Block(rec.block).Entries) {
+	if rec.returned && rec.argsSent >= len(m.plan.Block(rec.block).Entries) {
 		m.ctxs[u] = nil
 		m.ctxLive--
 		m.ctxFree = append(m.ctxFree, rec)
@@ -479,18 +479,11 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 // are injected only on the first call of a run; a continuation ignores
 // them.
 func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, error) {
-	if err := m.prog.Validate(); err != nil {
+	if err := m.ensurePlan(); err != nil {
 		return nil, err
 	}
-	if m.cfg.Compiled && m.plan == nil {
-		cg, err := graph.Compile(m.prog)
-		if err != nil {
-			return nil, err
-		}
-		m.plan = cg
-	}
 	if !m.started {
-		entry := m.prog.Entry()
+		entry := m.plan.Block(m.prog.Entry().ID)
 		if len(args) != len(entry.Entries) {
 			return nil, fmt.Errorf("core: program %q wants %d arguments, got %d", m.prog.Name, len(entry.Entries), len(args))
 		}
@@ -499,7 +492,7 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 			t := token.Token{
 				Class: token.Normal,
 				Tag:   token.Tag{Activity: act},
-				NT:    entry.Instr(entry.Entries[j]).NT,
+				NT:    entry.EntryNT[j],
 				Port:  0,
 				Value: v,
 			}

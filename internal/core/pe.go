@@ -80,11 +80,9 @@ type enabledInstr struct {
 	vals [2]token.Value
 }
 
-// ctrlRequest is a d=2 manager operation. Exactly one of instr
-// (interpreted mode) and cin (compiled mode) is non-nil.
+// ctrlRequest is a d=2 manager operation.
 type ctrlRequest struct {
 	act   token.ActivityName // the requesting instruction instance
-	instr *graph.Instruction
 	cin   *graph.CInstr
 	value token.Value // operand (allocation size, or trigger)
 }
@@ -279,33 +277,18 @@ func (pe *PE) stepALU(now sim.Cycle) {
 	}
 	e := pe.ready.PopNoClear() // enabledInstr is pointer-free
 	pe.aluN--
-	if plan := pe.m.plan; plan != nil {
-		cin := &plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
-		d := pe.m.opTimes[cin.Op]
-		pe.aluBusyUntil = now + d
-		pe.m.noteBusy(pe.aluBusyUntil)
-		if d == 0 {
-			d = 1 // the firing cycle itself counts busy even for free ops
-		}
-		pe.stats.ALU.AddBusy(uint64(d))
-		if pe.m.cfg.Trace != nil {
-			pe.trace(TraceFire, "%s %s", cin.Op, traceActivity(e.act))
-		}
-		pe.executeC(cin, e)
-		pe.stats.Fired.Inc()
-		return
-	}
-	blk := pe.m.prog.Block(graph.BlockID(e.act.CodeBlock))
-	in := blk.Instr(e.act.Statement)
-	d := pe.m.opTimes[in.Op]
+	cin := &pe.m.plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
+	d := pe.m.opTimes[cin.Op]
 	pe.aluBusyUntil = now + d
 	pe.m.noteBusy(pe.aluBusyUntil)
 	if d == 0 {
 		d = 1 // the firing cycle itself counts busy even for free ops
 	}
 	pe.stats.ALU.AddBusy(uint64(d))
-	pe.trace(TraceFire, "%s %s", in.Op, traceActivity(e.act))
-	pe.execute(blk, in, e)
+	if pe.m.cfg.Trace != nil {
+		pe.trace(TraceFire, "%s %s", cin.Op, traceActivity(e.act))
+	}
+	pe.execute(cin, e)
 	pe.stats.Fired.Inc()
 }
 
@@ -326,36 +309,7 @@ func (pe *PE) stepController(now sim.Cycle) {
 	r := pe.ctrlQ.Pop()
 	pe.ctrlBusyUntil = now + pe.m.cfg.ControllerTime
 	pe.m.noteBusy(pe.ctrlBusyUntil)
-	if r.cin != nil {
-		pe.execCtrlC(r)
-		return
-	}
 	pe.execCtrl(r)
-}
-
-// execCtrl performs a d=2 manager operation.
-func (pe *PE) execCtrl(r ctrlRequest) {
-	switch r.instr.Op {
-	case graph.OpGetContext:
-		u := pe.m.getContext(r.instr.Target, r.act, graph.BlockID(r.act.CodeBlock), r.instr.ReturnDests)
-		pe.trace(TraceGetCtx, "u=%d for block %d", u, r.instr.Target)
-		pe.sendToDests(r.act, r.instr.Dests, token.Int(int64(u)))
-	case graph.OpAllocate:
-		n, err := r.value.AsInt()
-		if err != nil || n < 0 {
-			pe.m.fail(fmt.Errorf("core: allocate at %s: bad size %s", r.act, r.value))
-			return
-		}
-		base, err := pe.m.allocate(uint32(n))
-		if err != nil {
-			pe.m.fail(err)
-			return
-		}
-		pe.trace(TraceAlloc, "base=%d len=%d", base, n)
-		pe.sendToDests(r.act, r.instr.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}))
-	default:
-		pe.m.fail(fmt.Errorf("core: controller cannot service %s", r.instr.Op))
-	}
 }
 
 // stepInput moves up to MatchBandwidth tokens from the input queue through
@@ -427,70 +381,26 @@ func (pe *PE) match(t token.Token, now sim.Cycle) {
 	}
 }
 
-// sendToDests builds result tokens with the standard tag transformation
-// (same context, same initiation, destination statement) and queues them at
-// the output section.
-func (pe *PE) sendToDests(act token.ActivityName, dests []graph.Dest, v token.Value) {
-	pe.sendToDestsInit(act, dests, v, act.Initiation)
-}
-
-// sendToDestsInit is sendToDests with an explicit initiation number (for D
-// and D⁻¹).
-func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.Dest, v token.Value, initiation uint32) {
-	blk := pe.m.prog.Block(graph.BlockID(act.CodeBlock))
-	for _, d := range dests {
-		newAct := token.ActivityName{
-			Context:    act.Context,
-			CodeBlock:  act.CodeBlock,
-			Statement:  d.Stmt,
-			Initiation: initiation,
-		}
-		t := token.Token{
-			Class: token.Normal,
-			Tag:   token.Tag{Activity: newAct},
-			NT:    blk.Instr(d.Stmt).NT,
-			Port:  d.Port,
-			Value: v,
-		}
-		t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
-		pe.emit(t)
-	}
-}
-
-// sendToken emits a fully-formed token (cross-block sends).
-func (pe *PE) sendToken(act token.ActivityName, blkID graph.BlockID, stmt uint16, port uint8, v token.Value) {
-	blk := pe.m.prog.Block(blkID)
-	t := token.Token{
-		Class: token.Normal,
-		Tag:   token.Tag{Activity: act},
-		NT:    blk.Instr(stmt).NT,
-		Port:  port,
-		Value: v,
-	}
-	t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
-	pe.emit(t)
-}
-
-// execute performs one instruction, the heart of the ALU stage. Its case
-// analysis must agree exactly with the reference interpreter.
-func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInstr) {
+// execute performs one instruction of the compiled plan, the heart of the
+// ALU stage. Its case analysis must agree exactly with the reference
+// interpreter. Dispatch switches on the plan's precomputed ExecKind, and
+// literals and destination nt fields come from the plan, so building a
+// result token fetches no instruction.
+func (pe *PE) execute(in *graph.CInstr, e enabledInstr) {
 	act := e.act
 	vals := e.vals
-	if in.HasLiteral {
-		vals[in.LiteralPort] = in.Literal
+	if in.HasLit {
+		vals[in.LitPort] = in.Lit
 	}
-	switch {
-	case in.Op.IsPure():
+	switch in.Kind {
+	case graph.KindPure:
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
 			pe.m.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
 			return
 		}
 		pe.sendToDests(act, in.Dests, v)
-		return
-	}
-	switch in.Op {
-	case graph.OpSwitch:
+	case graph.KindSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
 			pe.m.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
@@ -501,19 +411,19 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 		} else {
 			pe.sendToDests(act, in.DestsFalse, vals[0])
 		}
-	case graph.OpGetContext, graph.OpAllocate:
+	case graph.KindGetContext, graph.KindAllocate:
 		// d=2: manager request to the PE controller
 		pe.stats.TokensD2.Inc()
-		pe.ctrlQ.Push(ctrlRequest{act: act, instr: in, value: vals[0]})
-	case graph.OpSendArg, graph.OpL:
+		pe.ctrlQ.Push(ctrlRequest{act: act, cin: in, value: vals[0]})
+	case graph.KindSendArg:
 		pe.execSendArg(in, act, vals)
-	case graph.OpD:
+	case graph.KindD:
 		pe.sendToDestsInit(act, in.Dests, vals[0], act.Initiation+1)
-	case graph.OpDInv:
+	case graph.KindDInv:
 		pe.sendToDestsInit(act, in.Dests, vals[0], 1)
-	case graph.OpReturn, graph.OpLInv:
+	case graph.KindReturn:
 		pe.execReturn(in, act, vals)
-	case graph.OpFetch:
+	case graph.KindFetch:
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
 			pe.m.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
@@ -528,29 +438,60 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 				Initiation: act.Initiation,
 			},
 			port: d.Port,
-			nt:   blk.Instr(d.Stmt).NT,
+			nt:   d.NT,
 		}
-		pe.trace(TraceISRead, "addr=%d for %s", addr, traceActivity(rt.activity))
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceISRead, "addr=%d for %s", addr, traceActivity(rt.activity))
+		}
 		pe.emitIS(isRequest{op: istructure.OpRead, addr: uint32(addr), replyTo: rt})
-	case graph.OpStore:
+	case graph.KindStore:
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
 			pe.m.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
-		pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
+		}
 		pe.emitIS(isRequest{op: istructure.OpWrite, addr: uint32(addr), value: vals[1]})
-	case graph.OpSink, graph.OpNop:
+	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:
 		pe.m.fail(fmt.Errorf("core: cannot execute %s", in.Op))
 	}
 }
 
+// execCtrl performs a d=2 manager operation.
+func (pe *PE) execCtrl(r ctrlRequest) {
+	in := r.cin
+	switch in.Kind {
+	case graph.KindGetContext:
+		u := pe.m.getContext(in.Target, r.act, graph.BlockID(r.act.CodeBlock), in.RetDests)
+		pe.trace(TraceGetCtx, "u=%d for block %d", u, in.Target)
+		pe.sendToDests(r.act, in.Dests, token.Int(int64(u)))
+	case graph.KindAllocate:
+		n, err := r.value.AsInt()
+		if err != nil || n < 0 {
+			pe.m.fail(fmt.Errorf("core: allocate at %s: bad size %s", r.act, r.value))
+			return
+		}
+		base, err := pe.m.allocate(uint32(n))
+		if err != nil {
+			pe.m.fail(err)
+			return
+		}
+		pe.trace(TraceAlloc, "base=%d len=%d", base, n)
+		pe.sendToDests(r.act, in.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}))
+	default:
+		pe.m.fail(fmt.Errorf("core: controller cannot service %s", in.Op))
+	}
+}
+
 // execSendArg performs SEND-ARG/L: look up the callee's invocation record,
-// count the argument, and ship it to the callee's entry. Serial contexts
-// only (it reads and mutates the shared context table).
-func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2]token.Value) {
+// count the argument, and ship it to the callee's entry. The entry
+// statement and its nt come from the plan's CBlock. Serial contexts only
+// (it reads and mutates the shared context table).
+func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	h, err := vals[0].AsInt()
 	if err != nil {
 		pe.m.fail(fmt.Errorf("core: %s handle at %s: %v", in.Op, act, err))
@@ -561,7 +502,7 @@ func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2
 		pe.m.fail(fmt.Errorf("core: %s at %s: unknown context %d", in.Op, act, h))
 		return
 	}
-	callee := pe.m.prog.Block(rec.block)
+	callee := pe.m.plan.Block(rec.block)
 	if int(in.ArgIndex) >= len(callee.Entries) {
 		pe.m.fail(fmt.Errorf("core: %s at %s: arg %d out of range", in.Op, act, in.ArgIndex))
 		return
@@ -573,15 +514,16 @@ func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2
 		Statement:  callee.Entries[in.ArgIndex],
 		Initiation: 1,
 	}
-	block := rec.block
+	nt := callee.EntryNT[in.ArgIndex]
 	pe.m.maybeFreeContext(token.Context(h), rec)
-	pe.sendToken(newAct, block, newAct.Statement, 0, vals[1])
+	pe.sendToken(newAct, nt, 0, vals[1])
 }
 
 // execReturn performs RETURN/L⁻¹: deliver the value to the parent's return
 // destinations (or the program results in context 0) and retire the
-// invocation record. Serial contexts only.
-func (pe *PE) execReturn(in *graph.Instruction, act token.ActivityName, vals [2]token.Value) {
+// invocation record. Return destinations are the plan's CDest records,
+// which carry the receiver's nt. Serial contexts only.
+func (pe *PE) execReturn(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	if act.Context == 0 {
 		pe.trace(TraceResult, "%s", vals[0])
 		pe.m.results = append(pe.m.results, vals[0])
@@ -600,9 +542,53 @@ func (pe *PE) execReturn(in *graph.Instruction, act token.ActivityName, vals [2]
 			Statement:  d.Stmt,
 			Initiation: rec.parent.Initiation,
 		}
-		pe.sendToken(newAct, rec.parentBlock, d.Stmt, d.Port, vals[0])
+		pe.sendToken(newAct, d.NT, d.Port, vals[0])
 	}
 	pe.m.maybeFreeContext(act.Context, rec)
+}
+
+// sendToDests builds result tokens with the standard tag transformation
+// (same context, same initiation, destination statement) and queues them at
+// the output section. The nt field rides in the CDest, so no instruction is
+// fetched per token.
+func (pe *PE) sendToDests(act token.ActivityName, dests []graph.CDest, v token.Value) {
+	pe.sendToDestsInit(act, dests, v, act.Initiation)
+}
+
+// sendToDestsInit is sendToDests with an explicit initiation number (for
+// D and D⁻¹).
+func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.CDest, v token.Value, initiation uint32) {
+	for _, d := range dests {
+		newAct := token.ActivityName{
+			Context:    act.Context,
+			CodeBlock:  act.CodeBlock,
+			Statement:  d.Stmt,
+			Initiation: initiation,
+		}
+		t := token.Token{
+			Class: token.Normal,
+			Tag:   token.Tag{Activity: newAct},
+			NT:    d.NT,
+			Port:  d.Port,
+			Value: v,
+		}
+		t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
+		pe.emit(t)
+	}
+}
+
+// sendToken emits a fully-formed token whose receiver nt is already known
+// from the plan (cross-block sends).
+func (pe *PE) sendToken(act token.ActivityName, nt, port uint8, v token.Value) {
+	t := token.Token{
+		Class: token.Normal,
+		Tag:   token.Tag{Activity: act},
+		NT:    nt,
+		Port:  port,
+		Value: v,
+	}
+	t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
+	pe.emit(t)
 }
 
 // emitIS routes a d=1 request toward the owning I-structure module: the

@@ -16,9 +16,9 @@ import (
 // stage queues and waiting-matching store, the interconnect, and every
 // I-structure module — everything needed to resume bit-identically.
 //
-// What is rebuilt rather than serialized: the program and compiled plan
-// (static; the compiled-mode flag is validated and the plan recompiled on
-// load if needed), packet and context-record free lists (host-side pools),
+// What is rebuilt rather than serialized: the program and its execution
+// plan (static; the plan is compiled on load if the machine has not run
+// yet), packet and context-record free lists (host-side pools),
 // and instruction pointers inside queued requests (re-derived from the
 // activity name, so the stream holds no host addresses). Hash tables — the
 // waiting-matching store and the I-structure cell tables — are written in
@@ -150,26 +150,18 @@ func (m *Machine) loadIDQueue(d *sim.Dec, q *idQueue, active []bool) error {
 	return d.Err()
 }
 
-// ctrlInstr re-derives a queued manager request's instruction pointer from
+// ctrlInstr re-derives a queued manager request's plan instruction from
 // its activity name, validating that it names a d=2 manager operation.
-func (m *Machine) ctrlInstr(d *sim.Dec, act token.ActivityName) (in *graph.Instruction, cin *graph.CInstr) {
+func (m *Machine) ctrlInstr(d *sim.Dec, act token.ActivityName) *graph.CInstr {
 	if !m.checkActivity(d, act) {
-		return nil, nil
+		return nil
 	}
-	if m.plan != nil {
-		cin = &m.plan.Blocks[act.CodeBlock].Instrs[act.Statement]
-		if cin.Kind != graph.KindGetContext && cin.Kind != graph.KindAllocate {
-			d.Failf("queued manager request names %s at %s", cin.Op, act)
-			return nil, nil
-		}
-		return nil, cin
+	cin := &m.plan.Blocks[act.CodeBlock].Instrs[act.Statement]
+	if cin.Kind != graph.KindGetContext && cin.Kind != graph.KindAllocate {
+		d.Failf("queued manager request names %s at %s", cin.Op, act)
+		return nil
 	}
-	in = m.prog.Blocks[act.CodeBlock].Instr(act.Statement)
-	if in.Op != graph.OpGetContext && in.Op != graph.OpAllocate {
-		d.Failf("queued manager request names %s at %s", in.Op, act)
-		return nil, nil
-	}
-	return in, nil
+	return cin
 }
 
 // savePE appends one PE's dynamic state.
@@ -299,7 +291,7 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 	if err := sim.LoadFIFO(d, &pe.ctrlQ, d.Remaining(), func(d *sim.Dec) ctrlRequest {
 		r := ctrlRequest{act: token.LoadActivity(d), value: token.LoadValue(d)}
 		if d.Err() == nil {
-			r.instr, r.cin = m.ctrlInstr(d, r.act)
+			r.cin = m.ctrlInstr(d, r.act)
 		}
 		return r
 	}); err != nil {
@@ -325,8 +317,7 @@ func (m *Machine) SaveState(e *sim.Enc) {
 	if m.runErr != nil {
 		panic(fmt.Sprintf("core: checkpoint of a faulted machine: %v", m.runErr))
 	}
-	e.Tag("ttda", 1)
-	e.Bool(m.cfg.Compiled)
+	e.Tag("ttda", 2)
 	m.engine.SaveState(e)
 	e.Bool(m.started)
 	e.Cycle(m.runStart)
@@ -377,25 +368,13 @@ func (m *Machine) SaveState(e *sim.Enc) {
 // LoadState restores the machine (sim.Stateful). On error the machine must
 // be discarded.
 func (m *Machine) LoadState(d *sim.Dec) error {
-	if err := d.Tag("ttda", 1); err != nil {
+	if err := d.Tag("ttda", 2); err != nil {
 		return err
 	}
-	compiled := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if compiled != m.cfg.Compiled {
-		d.Failf("checkpoint compiled=%v, machine compiled=%v", compiled, m.cfg.Compiled)
-		return d.Err()
-	}
-	if m.cfg.Compiled && m.plan == nil {
-		// Queued requests hold plan-instruction pointers; compile before
-		// decoding them (Run would have compiled lazily at this point).
-		cg, err := graph.Compile(m.prog)
-		if err != nil {
-			return err
-		}
-		m.plan = cg
+	// Queued requests hold plan-instruction pointers; compile before
+	// decoding them (Run would have compiled lazily at this point).
+	if err := m.ensurePlan(); err != nil {
+		return err
 	}
 	if err := m.engine.LoadState(d); err != nil {
 		return err
@@ -440,21 +419,12 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 			return d.Err()
 		}
 		rec.parentBlock = graph.BlockID(rec.parent.CodeBlock)
-		if m.plan != nil {
-			cin := &m.plan.Blocks[rec.parent.CodeBlock].Instrs[rec.parent.Statement]
-			if cin.Kind != graph.KindGetContext {
-				d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, cin.Op)
-				return d.Err()
-			}
-			rec.returnDestsC = cin.RetDests
-		} else {
-			in := m.prog.Blocks[rec.parent.CodeBlock].Instr(rec.parent.Statement)
-			if in.Op != graph.OpGetContext {
-				d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, in.Op)
-				return d.Err()
-			}
-			rec.returnDests = in.ReturnDests
+		cin := &m.plan.Blocks[rec.parent.CodeBlock].Instrs[rec.parent.Statement]
+		if cin.Kind != graph.KindGetContext {
+			d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, cin.Op)
+			return d.Err()
 		}
+		rec.returnDests = cin.RetDests
 		m.ctxs = append(m.ctxs, rec)
 		m.ctxLive++
 	}

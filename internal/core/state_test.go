@@ -13,12 +13,10 @@ import (
 	"repro/internal/workload"
 )
 
-// ckptConfigs are the machine shapes the round-trip tests cross: the
-// interpreted and the compiled dispatch core.
+// ckptConfigs are the machine shapes the round-trip tests cross.
 func ckptConfigs() map[string]Config {
 	return map[string]Config{
-		"pe4":          {PEs: 4},
-		"pe4-compiled": {PEs: 4, Compiled: true},
+		"pe4": {PEs: 4},
 	}
 }
 
@@ -165,32 +163,35 @@ func TestCheckpointRejectsWrongShape(t *testing.T) {
 	}
 	data := sim.Checkpoint(m)
 
-	for name, cfg := range map[string]Config{
-		"more-pes": {PEs: 8},
-		"compiled": {PEs: 4, Compiled: true},
-	} {
-		if err := sim.Restore(NewMachine(cfg, prog), data); err == nil {
-			t.Errorf("%s: restore accepted a mismatched checkpoint", name)
-		}
+	if err := sim.Restore(NewMachine(Config{PEs: 8}, prog), data); err == nil {
+		t.Error("more-pes: restore accepted a mismatched checkpoint")
 	}
 }
 
-// TestCheckpointRejectsShardedLayout: testdata/sharded_pe4.ckpt was taken
-// from matmul(3) on 4 PEs with the machine split across two shards of the
-// since-removed parallel kernel, paused at cycle 50. Its engine section is
-// tagged "parengine", so restoring it must fail on that section instead of
-// misdecoding the shard-runner state that follows.
-func TestCheckpointRejectsShardedLayout(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "sharded_pe4.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCheckpointRejectsOldLayouts: each file in the table was taken from
+// matmul(3) on 4 PEs paused at cycle 50, under an earlier layout of the
+// "ttda" section (version 1, which carried an execution-mode byte).
+//   - interpreted_pe4_v1.ckpt: a plain machine.
+//   - sharded_pe4.ckpt: the machine split across two shards of the
+//     since-removed parallel kernel.
+//
+// Restoring either must fail on the "ttda" section header instead of
+// misdecoding the state that follows.
+func TestCheckpointRejectsOldLayouts(t *testing.T) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	err = sim.Restore(NewMachine(Config{PEs: 4}, prog), data)
-	if err == nil || !strings.Contains(err.Error(), `section "parengine"`) {
-		t.Fatalf("restore of a sharded checkpoint: got %v, want a section error naming parengine", err)
+	for _, file := range []string{"interpreted_pe4_v1.ckpt", "sharded_pe4.ckpt"} {
+		t.Run(file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sim.Restore(NewMachine(Config{PEs: 4}, prog), data)
+			if err == nil || !strings.Contains(err.Error(), `section "ttda"`) {
+				t.Fatalf("restore of %s: got %v, want a section error naming ttda", file, err)
+			}
+		})
 	}
 }

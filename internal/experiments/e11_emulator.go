@@ -36,7 +36,7 @@ func E11Emulator(opt Options) Result {
 
 	// Detailed simulator.
 	start := time.Now()
-	m := core.NewMachine(core.Config{PEs: 32, Compiled: opt.Compiled}, prog)
+	m := core.NewMachine(core.Config{PEs: 32}, prog)
 	mres, err := m.Run(1_000_000_000, token.Int(fibN))
 	if err != nil {
 		r.Err = err

@@ -10,9 +10,9 @@ import (
 // E14ConformanceSweep runs the cross-machine differential harness as an
 // experiment: randomly generated programs are executed in both their
 // dataflow and von Neumann forms across the whole machine fleet, and the
-// seven oracle families (result equivalence, determinism, metamorphic
-// invariants, engine honesty, compiled equivalence, checkpoint
-// equivalence, direct-execution equivalence) are tallied. Unlike E1–E13,
+// six oracle families (result equivalence, determinism, metamorphic
+// invariants, engine honesty, checkpoint equivalence, direct-execution
+// equivalence) are tallied. Unlike E1–E13,
 // which each measure one of the paper's claims, E14 measures the reproduction
 // itself: the claim is that every machine in this repository computes
 // the same answers and obeys the paper's qualitative orderings on
@@ -41,7 +41,6 @@ func E14ConformanceSweep(opt Options) Result {
 		conformance.OracleDeterminism,
 		conformance.OracleMetamorphic,
 		conformance.OracleHonesty,
-		conformance.OracleCompiled,
 		conformance.OracleCheckpoint,
 		conformance.OracleDirect,
 	} {
@@ -57,8 +56,7 @@ func E14ConformanceSweep(opt Options) Result {
 		"%d generated programs ran through the TTDA, the vn core, and all six baselines: "+
 			"%d oracle checks, zero violations — answers agree everywhere, runs are bit-deterministic, "+
 			"latency never helps a von Neumann machine, TTDA time never beats S∞, combining never hurts, "+
-			"the wake-queue engine matches exhaustive stepping, the compiled execution plan is "+
-			"bit-identical to interpretation, every run "+
+			"the wake-queue engine matches exhaustive stepping, every run "+
 			"split at a random cycle by a checkpoint/restore round trip matches the uninterrupted run, and the "+
 			"direct-execution backend — no tokens, no engine, loops as native control flow — reproduces the "+
 			"reference interpreter's results, firing counts, and faults on every case.",

@@ -74,7 +74,7 @@ func E1LatencyTolerance(opt Options) Result {
 		if err != nil {
 			return 0, 0, err
 		}
-		m := core.NewMachine(core.Config{PEs: 4, NetLatency: latency, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: 4, NetLatency: latency}, prog)
 		res, err := m.Run(500_000_000, token.Int(n))
 		if err != nil {
 			return 0, 0, err

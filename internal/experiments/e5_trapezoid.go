@@ -56,7 +56,7 @@ func E5Trapezoid(opt Options) Result {
 	var base uint64
 	var measured float64
 	for _, p := range pes {
-		m := core.NewMachine(core.Config{PEs: p, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: p}, prog)
 		res, err := m.Run(200_000_000, args...)
 		if err != nil {
 			r.Err = err
@@ -94,7 +94,7 @@ func E5Trapezoid(opt Options) Result {
 	wfSpeed.Name = "wavefront speedup"
 	var wfBase uint64
 	for _, p := range pes {
-		m := core.NewMachine(core.Config{PEs: p, Compiled: opt.Compiled}, wf)
+		m := core.NewMachine(core.Config{PEs: p}, wf)
 		res, err := m.Run(500_000_000, token.Int(wfN))
 		if err != nil {
 			r.Err = err

@@ -17,12 +17,6 @@ import (
 type Options struct {
 	// Quick shrinks sweeps for use in tests and benchmarks.
 	Quick bool
-	// Compiled runs every TTDA simulation through the ahead-of-time
-	// compiled execution plan instead of the graph interpreter. This is a
-	// pure host-side speedup: cycle counts, statistics, and findings are
-	// bit-identical (the conformance suite's compiled-equivalence oracle
-	// enforces it).
-	Compiled bool
 	// SweepWorkers bounds the parallel sweep runner's worker pool for
 	// each experiment's parameter sweep (internal/sweep); <= 0 means
 	// GOMAXPROCS. Results are deterministic at any setting.

@@ -268,10 +268,17 @@ func TestE14Shape(t *testing.T) {
 		t.Fatalf("expected 1 table, got %d", len(r.Tables))
 	}
 	rows := r.Tables[0].Rows
-	if len(rows) != 7 {
+	families := []string{
+		"result-equivalence", "determinism", "metamorphic",
+		"engine-honesty", "checkpoint-equivalence", "direct-equivalence",
+	}
+	if len(rows) != len(families) {
 		t.Fatalf("expected one row per oracle family, got %d", len(rows))
 	}
-	for _, row := range rows {
+	for i, row := range rows {
+		if row[0] != families[i] {
+			t.Fatalf("row %d is family %v, want %s", i, row[0], families[i])
+		}
 		if row[1] == "0" {
 			t.Fatalf("oracle family %v ran zero checks", row[0])
 		}

@@ -161,6 +161,9 @@ func TestErrorContract(t *testing.T) {
 		{"vnasm syntax error", runBody(t, KindVNAsm, "vn", "frob r1, r2", nil), http.StatusBadRequest},
 		{"removed shards knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"shards":2}}`, http.StatusBadRequest},
 		{"removed epoch_window knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`, http.StatusBadRequest},
+		{"removed compiled knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"compiled":true}}`, http.StatusBadRequest},
+		{"trailing garbage", runBody(t, KindMiniID, "ttda", doubleID, []int64{3}) + "trailing-garbage", http.StatusBadRequest},
+		{"second json object", runBody(t, KindMiniID, "ttda", doubleID, []int64{3}) + runBody(t, KindMiniID, "ttda", doubleID, []int64{4}), http.StatusBadRequest},
 		{"max_cycles over cap", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"max_cycles":600000000}}`, http.StatusBadRequest},
 		{"cycle budget exhausted", specBody(t, &JobSpec{Kind: KindVNAsm, Machine: "vn", Program: spinAsm, Config: &Config{MaxCycles: 100_000}}), http.StatusUnprocessableEntity},
 	}

@@ -31,9 +31,8 @@ func TestKeyDistinguishesProgramForms(t *testing.T) {
 	}
 }
 
-// TestKeyDistinguishesConfig: every meaningful field — compiled mode,
-// machine knobs, args, program, code version —
-// must change the key, while inapplicable knobs and explicit defaults
+// TestKeyDistinguishesConfig: every meaningful field — machine knobs,
+// args, program, code version — must change the key, while inapplicable knobs and explicit defaults
 // must not.
 func TestKeyDistinguishesConfig(t *testing.T) {
 	ttda := func(c *Config) *JobSpec {
@@ -41,7 +40,6 @@ func TestKeyDistinguishesConfig(t *testing.T) {
 	}
 	variants := map[string]*JobSpec{
 		"base":        ttda(nil),
-		"compiled":    ttda(&Config{Compiled: true}),
 		"pes":         ttda(&Config{PEs: 8}),
 		"net latency": ttda(&Config{NetLatency: 5}),
 		"max cycles":  ttda(&Config{MaxCycles: 1_000_000}),

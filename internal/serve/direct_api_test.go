@@ -64,7 +64,7 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 	bare := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21}})
 	knobbed := normKey(t, &JobSpec{
 		Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21},
-		Config: &Config{PEs: 9, NetLatency: 5, Compiled: true, Contexts: 3, MemLatency: 7, Combining: true},
+		Config: &Config{PEs: 9, NetLatency: 5, Contexts: 3, MemLatency: 7, Combining: true},
 	})
 	if bare != knobbed {
 		t.Fatalf("inapplicable cycle-model knobs fragmented the cache: %s vs %s", bare, knobbed)
@@ -86,7 +86,7 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 	}
 
 	s := newTestServer(t, Options{})
-	direct := `{"kind":"minid","machine":"direct","program":"def main(n) = n;","args":[3],"config":{"pes":9,"compiled":true}}`
+	direct := `{"kind":"minid","machine":"direct","program":"def main(n) = n;","args":[3],"config":{"pes":9,"net_latency":5}}`
 	if rr := doJSON(t, s, "POST", "/v1/run", direct); rr.Code != http.StatusOK {
 		t.Fatalf("direct with zeroed ttda knobs: status %d, want 200: %s", rr.Code, rr.Body)
 	}

@@ -7,8 +7,8 @@
 // hash of (program, machine, config, code version).
 //
 // The design leans on the repository's central property: every
-// simulation is deterministic, bit-for-bit, in either execution mode
-// (the conformance suite's seven oracle families enforce it). Determinism is what makes the cache exact — a
+// simulation is deterministic, bit-for-bit (the conformance suite's six
+// oracle families enforce it). Determinism is what makes the cache exact — a
 // hit is not an approximation of a rerun, it *is* the rerun, byte for
 // byte — and what makes coalescing safe: concurrent identical
 // submissions can share one execution because there is exactly one
@@ -46,8 +46,6 @@ type Config struct {
 	// PEs and NetLatency configure the TTDA (defaults 4 and 2).
 	PEs        int    `json:"pes,omitempty"`
 	NetLatency uint64 `json:"net_latency,omitempty"`
-	// Compiled runs the TTDA through the ahead-of-time compiled plan.
-	Compiled bool `json:"compiled,omitempty"`
 	// Contexts and MemLatency configure the single-core vn machine
 	// (defaults 1 and 4).
 	Contexts   int    `json:"contexts,omitempty"`
@@ -153,7 +151,7 @@ func (s *JobSpec) normalize() error {
 	// Per-machine defaults, and zeroing of inapplicable knobs.
 	contexts, memLat := c.Contexts, c.MemLatency
 	pes, netLat := c.PEs, c.NetLatency
-	combining, compiled := c.Combining, c.Compiled
+	combining := c.Combining
 	*c = Config{MaxCycles: c.MaxCycles}
 	switch s.Machine {
 	case "interp", "direct":
@@ -166,7 +164,6 @@ func (s *JobSpec) normalize() error {
 		if c.NetLatency == 0 {
 			c.NetLatency = 2
 		}
-		c.Compiled = compiled
 	case "vn":
 		c.Contexts, c.MemLatency = contexts, memLat
 		if c.Contexts <= 0 {
@@ -192,8 +189,8 @@ func (s *JobSpec) Key(codeVersion string) string {
 	c := s.Config
 	fmt.Fprintf(h, "critique-serve/1\ncode=%s\n", codeVersion)
 	fmt.Fprintf(h, "experiment=%s\nkind=%s\nmachine=%s\nargs=%v\n", s.Experiment, s.Kind, s.Machine, s.Args)
-	fmt.Fprintf(h, "pes=%d net_latency=%d compiled=%t contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
-		c.PEs, c.NetLatency, c.Compiled, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
+	fmt.Fprintf(h, "pes=%d net_latency=%d contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
+		c.PEs, c.NetLatency, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
 	fmt.Fprintf(h, "program=%d\n%s", len(s.Program), s.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -203,7 +203,6 @@ func runTTDAJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 	m := core.NewMachine(core.Config{
 		PEs:        c.PEs,
 		NetLatency: sim.Cycle(c.NetLatency),
-		Compiled:   c.Compiled,
 	}, prog)
 	var res []token.Value
 	var total uint64

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -210,13 +211,30 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, key string) (body [
 }
 
 // decodeSpec reads and validates the request body into a normalized
-// spec. Unknown fields are rejected — a typoed config knob must not
-// silently run (and cache) the default configuration.
+// spec, bounded by Options.MaxBody.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+	return decodeJobSpec(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+}
+
+// decodeJobSpec decodes one JSON spec from r and normalizes it. Unknown
+// fields are rejected — a typoed config knob must not silently run (and
+// cache) the default configuration — and so is anything but whitespace
+// after the spec, which would otherwise run (and cache) the first of
+// several documents.
+func decodeJobSpec(r io.Reader) (*JobSpec, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	spec := &JobSpec{}
-	if err := dec.Decode(spec); err != nil {
+	err := dec.Decode(spec)
+	if err == nil {
+		var rest json.RawMessage
+		if err = dec.Decode(&rest); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("unexpected data after the JSON object")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
