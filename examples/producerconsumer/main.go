@@ -96,16 +96,14 @@ func main() {
 		hm.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: i, ReplyTo: int(i)})
 	}
 	eng := sim.NewEngine()
-	// The paced producer is not event-aware, so the engine steps every
-	// cycle: the open-loop write schedule lands exactly as written.
-	eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
-		c := int(now)
-		if c%8 == 0 && c/8 < n {
-			w := istructure.Request{Op: istructure.OpWrite, Addr: uint32(c / 8), Value: 1}
-			im.Enqueue(w)
-			hm.Enqueue(w)
-		}
-	}))
+	// The producer wakes both modules on each write: storage modules do
+	// not wake themselves.
+	eng.Register(&producer{enqueue: func(w istructure.Request) {
+		im.Enqueue(w)
+		hm.Enqueue(w)
+		eng.Wake(im, eng.Now())
+		eng.Wake(hm, eng.Now())
+	}})
 	eng.Register(im)
 	eng.Register(hm)
 	eng.Run(func() bool { return false }, n*8+n*10)
@@ -114,4 +112,24 @@ func main() {
 	fmt.Printf("  I-structure deferred lists: %4d controller operations\n", iOps)
 	fmt.Printf("  HEP-style busy-waiting:     %4d controller operations (%d wasted retries)\n",
 		hOps, hm.Stats().Retries.Value())
+}
+
+// producer writes element i at cycle 8i, n elements in all.
+type producer struct {
+	next    uint32
+	enqueue func(istructure.Request)
+}
+
+func (p *producer) Step(now sim.Cycle) {
+	if p.next < n && now >= sim.Cycle(8*p.next) {
+		p.enqueue(istructure.Request{Op: istructure.OpWrite, Addr: p.next, Value: 1})
+		p.next++
+	}
+}
+
+func (p *producer) NextEvent(sim.Cycle) sim.Cycle {
+	if p.next >= n {
+		return sim.Never
+	}
+	return sim.Cycle(8 * p.next)
 }

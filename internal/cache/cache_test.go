@@ -178,10 +178,9 @@ func TestInvariantHoldsUnderRandomTraffic(t *testing.T) {
 		issued := 0
 		var invErr error
 		eng := sim.NewEngine()
-		// The injector is not event-aware, so the engine degrades to
-		// exhaustive per-cycle stepping: the rng draw sequence is identical
-		// to the hand-rolled loop this replaces.
-		eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
+		// The injector is due every cycle, so the rng draw sequence is
+		// identical to the hand-rolled loop this replaces.
+		eng.Register(&sim.StepFunc{Fn: func(now sim.Cycle) {
 			if issued < 200 && rng.Bool(0.3) {
 				cpu := rng.Intn(4)
 				s.Request(cpu, Access{
@@ -191,13 +190,13 @@ func TestInvariantHoldsUnderRandomTraffic(t *testing.T) {
 				})
 				issued++
 			}
-		}))
+		}})
 		eng.Register(s)
-		eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
+		eng.Register(&sim.StepFunc{Fn: func(now sim.Cycle) {
 			if invErr == nil {
 				invErr = s.CheckInvariant()
 			}
-		}))
+		}})
 		eng.Run(func() bool { return invErr != nil }, 3000)
 		return invErr == nil
 	}, &quick.Config{MaxCount: 25}); err != nil {

@@ -133,9 +133,9 @@ func TestDirectoryInvariantUnderRandomTraffic(t *testing.T) {
 		issued := 0
 		var invErr error
 		eng := sim.NewEngine()
-		// Non-event-aware injector: the engine steps every cycle, keeping
-		// the rng draw sequence identical to the hand-rolled loop.
-		eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
+		// The injector is due every cycle, keeping the rng draw sequence
+		// identical to the hand-rolled loop.
+		eng.Register(&sim.StepFunc{Fn: func(now sim.Cycle) {
 			if issued < 150 && rng.Bool(0.2) {
 				s.Request(rng.Intn(4), Access{
 					Addr:  uint32(rng.Intn(24)),
@@ -144,13 +144,13 @@ func TestDirectoryInvariantUnderRandomTraffic(t *testing.T) {
 				})
 				issued++
 			}
-		}))
+		}})
 		eng.Register(s)
-		eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
+		eng.Register(&sim.StepFunc{Fn: func(now sim.Cycle) {
 			if invErr == nil {
 				invErr = s.CheckInvariant()
 			}
-		}))
+		}})
 		eng.Run(func() bool { return invErr != nil }, 5000)
 		return invErr == nil && !s.Pending()
 	}, &quick.Config{MaxCount: 20}); err != nil {

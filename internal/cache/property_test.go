@@ -9,9 +9,9 @@ import (
 
 // NextEvent honesty for the coherence models: a random preloaded workload
 // must produce identical cycle counts and statistics whether the system is
-// stepped exhaustively every cycle (sim.Scheduler.Run) or driven by the
-// event-driven engine (sim.Engine.Run). The workload is queued up front so
-// both runs see exactly the same request stream.
+// stepped exhaustively every cycle (sim.Engine.StepEveryCycle) or driven by
+// the engine's wake queue. The workload is queued up front so both runs
+// see exactly the same request stream.
 
 type cacheOutcome struct {
 	elapsed  sim.Cycle
@@ -66,15 +66,12 @@ func runSnoopyOnce(st accessStream, cpus int, evented bool) (cacheOutcome, uint6
 	done := func() bool { return !s.Pending() }
 	var elapsed sim.Cycle
 	var ok bool
-	if evented {
-		eng := sim.NewEngine()
-		eng.Register(s)
-		elapsed, ok = eng.Run(done, 1_000_000)
-	} else {
-		sch := sim.NewScheduler()
-		sch.Register(s)
-		elapsed, ok = sch.Run(done, 1_000_000)
+	eng := sim.NewEngine()
+	if !evented {
+		eng.StepEveryCycle()
 	}
+	eng.Register(s)
+	elapsed, ok = eng.Run(done, 1_000_000)
 	o := statsOutcome(elapsed, ok, cpus, s.Stats, sum)
 	return o, s.BusTransactions.Value(), s.BusBusy.Fraction()
 }
@@ -90,15 +87,12 @@ func runDirectoryOnce(st accessStream, cpus int, netLat sim.Cycle, evented bool)
 	done := func() bool { return !s.Pending() }
 	var elapsed sim.Cycle
 	var ok bool
-	if evented {
-		eng := sim.NewEngine()
-		eng.Register(s)
-		elapsed, ok = eng.Run(done, 1_000_000)
-	} else {
-		sch := sim.NewScheduler()
-		sch.Register(s)
-		elapsed, ok = sch.Run(done, 1_000_000)
+	eng := sim.NewEngine()
+	if !evented {
+		eng.StepEveryCycle()
 	}
+	eng.Register(s)
+	elapsed, ok = eng.Run(done, 1_000_000)
 	o := statsOutcome(elapsed, ok, cpus, s.Stats, sum)
 	return o, s.DirOps.Value(), s.DirQueueLen.Max(), s.DirQueueLen.Mean()
 }
@@ -115,10 +109,10 @@ func runSnoopySkipping(st accessStream, cpus int) (cacheOutcome, uint64, float64
 		s.Request(st.cpu[i], a)
 	}
 	skip := simtest.NewIdleSkipper(s)
-	sch := sim.NewScheduler()
-	sch.Register(skip)
-	elapsed, ok := sch.Run(func() bool { return !s.Pending() }, 1_000_000)
-	skip.Settle(sch.Now())
+	eng := sim.NewEngine()
+	eng.StepEveryCycle()
+	eng.Register(skip)
+	elapsed, ok := eng.Run(func() bool { return !s.Pending() }, 1_000_000)
 	o := statsOutcome(elapsed, ok, cpus, s.Stats, sum)
 	return o, s.BusTransactions.Value(), s.BusBusy.Fraction(), skip.Skipped
 }
@@ -133,10 +127,10 @@ func runDirectorySkipping(st accessStream, cpus int, netLat sim.Cycle) (cacheOut
 		s.Request(st.cpu[i], a)
 	}
 	skip := simtest.NewIdleSkipper(s)
-	sch := sim.NewScheduler()
-	sch.Register(skip)
-	elapsed, ok := sch.Run(func() bool { return !s.Pending() }, 1_000_000)
-	skip.Settle(sch.Now())
+	eng := sim.NewEngine()
+	eng.StepEveryCycle()
+	eng.Register(skip)
+	elapsed, ok := eng.Run(func() bool { return !s.Pending() }, 1_000_000)
 	o := statsOutcome(elapsed, ok, cpus, s.Stats, sum)
 	return o, s.DirOps.Value(), s.DirQueueLen.Max(), s.DirQueueLen.Mean(), skip.Skipped
 }

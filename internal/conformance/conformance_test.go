@@ -235,7 +235,7 @@ func TestBothFormsAgreeWithGo(t *testing.T) {
 		if got != want {
 			t.Errorf("seed %d: interp %d, Go %d (%s)", seed, got, want, w)
 		}
-		s, err := runVN(c, 1, 2, true)
+		s, err := runVN(c, 1, 2, false)
 		if err != nil {
 			t.Fatalf("seed %d vn: %v", seed, err)
 		}

@@ -102,20 +102,17 @@ func runInterp(c *compiled) (int64, *graph.Interp, error) {
 	return v, it, err
 }
 
-// forceLegacy registers an inert non-EventAware component, flipping the
-// engine into its exhaustive per-cycle fallback — the engine-honesty
-// oracle's second arm. It accepts any driver with Register so machines
-// that expose sim.Driver work too.
-func forceLegacy(e interface{ Register(sim.Component) }) {
-	e.Register(sim.ComponentFunc(func(sim.Cycle) {}))
-}
+// stepEveryCycle switches a machine's engine to the exhaustive reference
+// schedule — the engine-honesty oracle's second arm. The vN machines
+// expose their engine as a sim.Driver; every one of them is a *sim.Engine.
+func stepEveryCycle(d sim.Driver) { d.(*sim.Engine).StepEveryCycle() }
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
 // machine.
-func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool) (Snapshot, error) {
+func runTTDA(c *compiled, pes int, netLatency sim.Cycle, everyCycle bool) (Snapshot, error) {
 	m := core.NewMachineWithPlan(core.Config{PEs: pes, NetLatency: netLatency}, c.plan)
-	if legacy {
-		forceLegacy(m.Engine())
+	if everyCycle {
+		m.Engine().StepEveryCycle()
 	}
 	res, err := m.Run(runLimit, c.args...)
 	if err != nil {
@@ -156,35 +153,23 @@ func runEmulator(c *compiled, nodes int) (int64, error) {
 }
 
 // runVN executes the asm form on a single vn core over LatencyMemory,
-// either through the wake-queue engine or the plain exhaustive
-// scheduler (evented=false) — the same pairing the per-package property
-// tests use.
-func runVN(c *compiled, contexts int, latency sim.Cycle, evented bool) (Snapshot, error) {
+// through the wake-queue engine or, with everyCycle, the same engine
+// stepping every component every cycle — the same pairing the
+// per-package property tests use.
+func runVN(c *compiled, contexts int, latency sim.Cycle, everyCycle bool) (Snapshot, error) {
 	mem := vn.NewLatencyMemory(latency)
 	cpu := vn.NewCore(c.asm, mem, contexts)
-	halted := func() bool { return cpu.Halted() && mem.Pending() == 0 }
-
-	var s Snapshot
-	if evented {
-		eng := sim.NewEngine()
-		eng.Register(mem)
-		eng.Register(cpu)
-		elapsed, ok := eng.Run(halted, runLimit)
-		if !ok {
-			return s, fmt.Errorf("vn: no halt in %d cycles", runLimit)
-		}
-		s.Cycles = uint64(elapsed)
-		s.Engine = eng.Counters()
-	} else {
-		sch := sim.NewScheduler()
-		sch.Register(mem)
-		sch.Register(cpu)
-		elapsed, ok := sch.Run(halted, runLimit)
-		if !ok {
-			return s, fmt.Errorf("vn: no halt in %d cycles", runLimit)
-		}
-		s.Cycles = uint64(elapsed)
+	eng := sim.NewEngine()
+	if everyCycle {
+		eng.StepEveryCycle()
 	}
+	eng.Register(mem)
+	eng.Register(cpu)
+	elapsed, ok := eng.Run(func() bool { return cpu.Halted() && mem.Pending() == 0 }, runLimit)
+	if !ok {
+		return Snapshot{}, fmt.Errorf("vn: no halt in %d cycles", runLimit)
+	}
+	s := Snapshot{Cycles: uint64(elapsed), Engine: eng.Counters()}
 	s.Result = int64(mem.Peek(ResultAddr))
 	coreStats(&s, cpu)
 	return s, nil
@@ -203,11 +188,11 @@ func park(total, contexts int, coreAt func(int) *vn.Core, prog *vn.Program) {
 }
 
 // runCmmp executes the asm form on core 0 of a 2-processor C.mmp.
-func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool) (Snapshot, error) {
+func runCmmp(c *compiled, switchDelay sim.Cycle, everyCycle bool) (Snapshot, error) {
 	m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay}, c.asm, 1)
 	park(2, 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
+	if everyCycle {
+		stepEveryCycle(m.Engine())
 	}
 	elapsed, err := m.Run(runLimit)
 	if err != nil {
@@ -232,11 +217,11 @@ func cmstarConfig(hopLatency sim.Cycle) cmstar.Config {
 
 // runCmstar executes the asm form on core 0 of cluster 0 of an 8-cluster
 // Cm*; all data addresses are inter-cluster references.
-func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool) (Snapshot, error) {
+func runCmstar(c *compiled, hopLatency sim.Cycle, everyCycle bool) (Snapshot, error) {
 	m := cmstar.New(cmstarConfig(hopLatency), c.asm)
 	park(m.NumCores(), 1, m.CoreAt, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
+	if everyCycle {
+		stepEveryCycle(m.Engine())
 	}
 	elapsed, err := m.Run(runLimit)
 	if err != nil {
@@ -254,11 +239,11 @@ func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool) (Snapshot, error)
 
 // runUltra executes the asm form on core 0 of a 4-processor
 // Ultracomputer.
-func runUltra(c *compiled, combining, legacy bool) (Snapshot, error) {
+func runUltra(c *compiled, combining, everyCycle bool) (Snapshot, error) {
 	m := ultra.New(ultra.Config{LogProcessors: 2, Combining: combining}, c.asm)
 	park(m.NumProcessors(), 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
+	if everyCycle {
+		stepEveryCycle(m.Engine())
 	}
 	elapsed, err := m.Run(runLimit)
 	if err != nil {
@@ -278,11 +263,11 @@ func runUltra(c *compiled, combining, legacy bool) (Snapshot, error) {
 // hardware contexts; both contexts of core 0 run the identical program
 // (the fold is idempotent across streams), exercising the full/empty
 // memory's retry path.
-func runHEP(c *compiled, legacy bool) (Snapshot, error) {
+func runHEP(c *compiled, everyCycle bool) (Snapshot, error) {
 	m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, c.asm)
 	park(2, 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
+	if everyCycle {
+		stepEveryCycle(m.Engine())
 	}
 	elapsed, err := m.Run(runLimit)
 	if err != nil {

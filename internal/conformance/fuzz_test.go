@@ -27,11 +27,11 @@ func FuzzConformance(f *testing.F) {
 		if got != want {
 			t.Fatalf("interp %d, Go fold %d (%s)", got, want, w)
 		}
-		evented, err := runVN(c, 1, 3, true)
+		evented, err := runVN(c, 1, 3, false)
 		if err != nil {
 			t.Fatalf("vn evented: %v (%s)", err, w)
 		}
-		exhaustive, err := runVN(c, 1, 3, false)
+		exhaustive, err := runVN(c, 1, 3, true)
 		if err != nil {
 			t.Fatalf("vn exhaustive: %v (%s)", err, w)
 		}

@@ -13,8 +13,9 @@
 //	                     drops below the graph's critical path S∞, and
 //	                     omega-network combining never slows the
 //	                     Ultracomputer on a FETCH-AND-ADD-heavy workload;
-//	engine honesty     — the wake-queue engine run matches the legacy
-//	                     exhaustive-fallback run for every generated case;
+//	engine honesty     — the wake-queue engine run matches the same
+//	                     engine stepping every component every cycle
+//	                     (Engine.StepEveryCycle) for every generated case;
 //	checkpoint         — a run split by a checkpoint/restore round trip
 //	                     matches the uninterrupted run;
 //	direct execution   — the direct backend's answer and firing count

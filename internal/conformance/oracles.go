@@ -156,7 +156,7 @@ func checkResults(ct *counter, c *compiled) {
 	expect("emulator", ev, err)
 
 	for _, k := range []int{1, 2} {
-		s, err := runVN(c, k, 4, true)
+		s, err := runVN(c, k, 4, false)
 		expect(fmt.Sprintf("vn/k=%d", k), s.Result, err)
 	}
 
@@ -192,7 +192,7 @@ func checkDeterminism(ct *counter, c *compiled) {
 	}
 
 	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false) })
-	twice("vn", func() (Snapshot, error) { return runVN(c, 2, 4, true) })
+	twice("vn", func() (Snapshot, error) { return runVN(c, 2, 4, false) })
 	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false) })
 	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false) })
 	twice("ultra", func() (Snapshot, error) { return runUltra(c, true, false) })
@@ -251,7 +251,7 @@ func checkCriticalPathBound(ct *counter, depth int, pes int, cycles uint64, err 
 
 func checkMetamorphic(ct *counter, c *compiled) {
 	checkLatencyMonotone(ct, "vn", []sim.Cycle{2, 6, 18}, func(lat sim.Cycle) (uint64, error) {
-		s, err := runVN(c, 1, lat, true)
+		s, err := runVN(c, 1, lat, false)
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "cmmp", []sim.Cycle{1, 4, 12}, func(lat sim.Cycle) (uint64, error) {
@@ -328,13 +328,12 @@ done:   halt
 // --- oracle 4: engine honesty ---------------------------------------
 
 // checkHonesty runs every engine-driven machine twice — once on the
-// wake-queue scheduler, once with an inert legacy component registered so
-// the engine falls back to exhaustive per-cycle stepping — and demands
-// bit-identical simulated observables. This generalizes the per-package
-// NextEvent-honesty property tests to whole machines on arbitrary
-// programs.
+// wake-queue scheduler, once with the engine switched to StepEveryCycle —
+// and demands bit-identical simulated observables. This generalizes the
+// per-package NextEvent-honesty property tests to whole machines on
+// arbitrary programs.
 func checkHonesty(ct *counter, c *compiled) {
-	pair := func(machine string, run func(legacy bool) (Snapshot, error)) {
+	pair := func(machine string, run func(everyCycle bool) (Snapshot, error)) {
 		evented, err1 := run(false)
 		exhaustive, err2 := run(true)
 		if err1 != nil || err2 != nil {
@@ -348,7 +347,7 @@ func checkHonesty(ct *counter, c *compiled) {
 	}
 
 	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l) })
-	pair("vn", func(l bool) (Snapshot, error) { return runVN(c, 2, 4, !l) })
+	pair("vn", func(l bool) (Snapshot, error) { return runVN(c, 2, 4, l) })
 	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l) })
 	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l) })
 	pair("ultra", func(l bool) (Snapshot, error) { return runUltra(c, true, l) })

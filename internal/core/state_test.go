@@ -169,28 +169,35 @@ func TestCheckpointRejectsWrongShape(t *testing.T) {
 }
 
 // TestCheckpointRejectsOldLayouts: each file in the table was taken from
-// matmul(3) on 4 PEs paused at cycle 50, under an earlier layout of the
-// "ttda" section (version 1, which carried an execution-mode byte).
-//   - interpreted_pe4_v1.ckpt: a plain machine.
+// matmul(3) on 4 PEs paused at cycle 50, under an earlier layout:
+//   - interpreted_pe4_v1.ckpt: a plain machine under version 1 of the
+//     "ttda" section, which carried an execution-mode byte.
 //   - sharded_pe4.ckpt: the machine split across two shards of the
-//     since-removed parallel kernel.
+//     since-removed parallel kernel, also "ttda" version 1.
+//   - engine_v1_pe4.ckpt: a plain machine under version 1 of the "engine"
+//     section, which carried a byte for the since-removed implicit
+//     exhaustive mode.
 //
-// Restoring either must fail on the "ttda" section header instead of
+// Restoring each must fail on the named section header instead of
 // misdecoding the state that follows.
 func TestCheckpointRejectsOldLayouts(t *testing.T) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	for _, file := range []string{"interpreted_pe4_v1.ckpt", "sharded_pe4.ckpt"} {
-		t.Run(file, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", file))
+	for _, tc := range []struct{ file, section string }{
+		{"interpreted_pe4_v1.ckpt", "ttda"},
+		{"sharded_pe4.ckpt", "ttda"},
+		{"engine_v1_pe4.ckpt", "engine"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = sim.Restore(NewMachine(Config{PEs: 4}, prog), data)
-			if err == nil || !strings.Contains(err.Error(), `section "ttda"`) {
-				t.Fatalf("restore of %s: got %v, want a section error naming ttda", file, err)
+			if want := `section "` + tc.section + `"`; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("restore of %s: got %v, want a section error naming %s", tc.file, err, tc.section)
 			}
 		})
 	}

@@ -241,19 +241,12 @@ func deferVsPoll(n, gap int) (isOps, hepOps uint64) {
 		im.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: uint32(i), ReplyTo: i})
 	}
 	limit := sim.Cycle(n*gap + 10*n)
-	// The producer trickle is a plain (non-event-aware) component, so the
-	// engine steps every cycle exhaustively — the schedule is open-loop.
-	producer := func(enqueue func(istructure.Request)) sim.ComponentFunc {
-		return func(now sim.Cycle) {
-			c := int(now)
-			if c%gap == 0 && c/gap < n {
-				enqueue(istructure.Request{Op: istructure.OpWrite, Addr: uint32(c / gap), Value: 1})
-			}
-		}
-	}
 	never := func() bool { return false }
 	ieng := sim.NewEngine()
-	ieng.Register(producer(func(r istructure.Request) { im.Enqueue(r) }))
+	ieng.Register(&pacer{n: n, gap: gap, enqueue: func(r istructure.Request) {
+		im.Enqueue(r)
+		ieng.Wake(im, ieng.Now())
+	}})
 	ieng.Register(im)
 	ieng.Run(never, limit)
 	isOps = im.Stats().Reads.Value() + im.Stats().Writes.Value()
@@ -269,9 +262,34 @@ func deferVsPoll(n, gap int) (isOps, hepOps uint64) {
 		hm.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: uint32(i), ReplyTo: i})
 	}
 	heng := sim.NewEngine()
-	heng.Register(producer(func(r istructure.Request) { hm.Enqueue(r) }))
+	heng.Register(&pacer{n: n, gap: gap, enqueue: func(r istructure.Request) {
+		hm.Enqueue(r)
+		heng.Wake(hm, heng.Now())
+	}})
 	heng.Register(hm)
 	heng.Run(never, limit)
 	hepOps = hm.Stats().Reads.Value() + hm.Stats().Writes.Value()
 	return isOps, hepOps
+}
+
+// pacer is the slow producer: it writes element i at cycle i*gap, n
+// elements in all. enqueue must Wake the module it enqueues into, because
+// storage modules do not wake themselves.
+type pacer struct {
+	n, gap, next int
+	enqueue      func(istructure.Request)
+}
+
+func (p *pacer) Step(now sim.Cycle) {
+	if p.next < p.n && now >= sim.Cycle(p.next*p.gap) {
+		p.enqueue(istructure.Request{Op: istructure.OpWrite, Addr: uint32(p.next), Value: 1})
+		p.next++
+	}
+}
+
+func (p *pacer) NextEvent(sim.Cycle) sim.Cycle {
+	if p.next >= p.n {
+		return sim.Never
+	}
+	return sim.Cycle(p.next * p.gap)
 }

@@ -71,6 +71,17 @@ func (m *HEPModule) Enqueue(r Request) error {
 // Idle reports whether the controller has no queued work.
 func (m *HEPModule) Idle() bool { return len(m.queue) == 0 }
 
+// NextEvent reports now while the controller is busy or has queued work
+// (a busy controller counts a Busy cycle on every step), otherwise
+// sim.Never. The module does not wake itself: whoever enqueues into an
+// idle module must Wake it.
+func (m *HEPModule) NextEvent(now sim.Cycle) sim.Cycle {
+	if now < m.busyUntil || len(m.queue) > 0 {
+		return now
+	}
+	return sim.Never
+}
+
 // Step advances one cycle, servicing at most one request.
 func (m *HEPModule) Step(now sim.Cycle) {
 	if now < m.busyUntil {

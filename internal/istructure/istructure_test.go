@@ -245,6 +245,71 @@ func TestHEPReadOfEmptyIsNACKed(t *testing.T) {
 	}
 }
 
+// hepWriter writes addr i at cycle at[i], waking the module it writes to.
+type hepWriter struct {
+	at  []sim.Cycle
+	m   *HEPModule
+	eng *sim.Engine
+}
+
+func (w *hepWriter) Step(now sim.Cycle) {
+	if len(w.at) > 0 && now >= w.at[0] {
+		w.m.Enqueue(Request{Op: OpWrite, Addr: uint32(8 - len(w.at)), Value: now})
+		w.eng.Wake(w.m, now)
+		w.at = w.at[1:]
+	}
+}
+
+func (w *hepWriter) NextEvent(sim.Cycle) sim.Cycle {
+	if len(w.at) == 0 {
+		return sim.Never
+	}
+	return w.at[0]
+}
+
+// TestHEPNextEventHonest: a busy-waiting HEP module on the wake queue must
+// count exactly what it counts when stepped every cycle, while the queue
+// still skips the idle stretch after the last poller is satisfied.
+func TestHEPNextEventHonest(t *testing.T) {
+	run := func(everyCycle bool) (HEPStats, sim.Counters) {
+		var m *HEPModule
+		m = NewHEP(0, 8, 3, func(r HEPResponse) {
+			if !r.OK {
+				m.Enqueue(Request{Op: OpRead, Addr: r.Addr})
+			}
+		})
+		for a := uint32(0); a < 4; a++ {
+			m.Enqueue(Request{Op: OpRead, Addr: a})
+		}
+		eng := sim.NewEngine()
+		if everyCycle {
+			eng.StepEveryCycle()
+		}
+		eng.Register(&hepWriter{at: []sim.Cycle{10, 50, 90, 130, 900, 901, 960, 2000}, m: m, eng: eng})
+		eng.Register(m)
+		eng.Run(func() bool { return false }, 1500)
+		return *m.Stats(), eng.Counters()
+	}
+	ref, _ := run(true)
+	got, c := run(false)
+	for _, f := range []struct {
+		name     string
+		ref, got uint64
+	}{
+		{"reads", ref.Reads.Value(), got.Reads.Value()},
+		{"writes", ref.Writes.Value(), got.Writes.Value()},
+		{"retries", ref.Retries.Value(), got.Retries.Value()},
+		{"busy", ref.Busy.Value(), got.Busy.Value()},
+	} {
+		if f.ref != f.got {
+			t.Errorf("%s: wake queue %d, every cycle %d", f.name, f.got, f.ref)
+		}
+	}
+	if ref.Retries.Value() == 0 || c.CyclesSkipped == 0 {
+		t.Fatalf("vacuous: %d retries, %d cycles skipped", ref.Retries.Value(), c.CyclesSkipped)
+	}
+}
+
 func TestHEPBusyWaitEventuallySucceeds(t *testing.T) {
 	// A polling reader retries until the writer lands; count the wasted
 	// controller operations — the cost I-structures avoid.

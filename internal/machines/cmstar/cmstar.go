@@ -114,10 +114,9 @@ type kmapEvent struct {
 	origDone func(vn.Word)
 }
 
-// kmapQueue is a min-heap of transit events ordered by (at, seq) — the
-// same total order sim.EventQueue dispatches in. Like sim.EventQueue, its
-// clock advances to each dispatched event's time, and reply scheduling is
-// measured against that clock.
+// kmapQueue is a min-heap of transit events ordered by (at, seq): by time,
+// then by schedule order. Its clock advances to each dispatched event's
+// time, and reply scheduling is measured against that clock.
 type kmapQueue struct {
 	h   []kmapEvent
 	now sim.Cycle

@@ -357,6 +357,43 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestAsyncJobsBounded: finished async jobs each hold a full result
+// body, so the server keeps only the newest maxFinishedJobs of them; the
+// oldest is evicted first and polling it answers 404.
+func TestAsyncJobsBounded(t *testing.T) {
+	s := newTestServer(t, Options{})
+	body := runBody(t, KindVNAsm, "vn", storeAsm(7), nil)
+	var ids []string
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		rr := doJSON(t, s, "POST", "/v1/jobs", body)
+		var sub struct{ ID string }
+		if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil || rr.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d body %q: %v", i, rr.Code, rr.Body, err)
+		}
+		ids = append(ids, sub.ID)
+		waitFor(t, "job "+sub.ID, func() bool {
+			poll := doJSON(t, s, "GET", "/v1/jobs/"+sub.ID, "")
+			return strings.Contains(poll.Body.String(), `"state":"done"`)
+		})
+	}
+	for i, id := range ids {
+		rr := doJSON(t, s, "GET", "/v1/jobs/"+id, "")
+		if i < 2 {
+			if rr.Code != http.StatusNotFound || !strings.Contains(rr.Body.String(), "unknown or expired job") {
+				t.Errorf("evicted job %s: status %d body %q, want 404 unknown or expired job", id, rr.Code, rr.Body)
+			}
+		} else if rr.Code != http.StatusOK {
+			t.Errorf("job %s: status %d, want 200", id, rr.Code)
+		}
+	}
+	s.jobsMu.Lock()
+	n := len(s.jobs)
+	s.jobsMu.Unlock()
+	if n != maxFinishedJobs {
+		t.Errorf("server holds %d jobs, want %d", n, maxFinishedJobs)
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 3})
 	if rr := doJSON(t, s, "GET", "/v1/healthz", ""); rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"ok"`) {

@@ -71,9 +71,10 @@ type Server struct {
 	executions atomic.Uint64
 	coalesced  atomic.Uint64
 
-	jobsMu  sync.Mutex
-	jobs    map[string]*asyncJob
-	nextJob int
+	jobsMu   sync.Mutex
+	jobs     map[string]*asyncJob
+	finished []string // IDs of finished jobs in s.jobs, oldest first
+	nextJob  int
 
 	// runStarted, when non-nil, runs at execution start — after the
 	// worker slot is acquired, before the engine turns. Test hook: it
@@ -339,7 +340,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		s.setJob(job.ID, func(j *asyncJob) { j.State = "running" })
 		body, source, err := s.execute(ctx, spec, key)
-		s.setJob(job.ID, func(j *asyncJob) {
+		s.finishJob(job.ID, func(j *asyncJob) {
 			if err != nil {
 				j.State, j.Error = "error", err.Error()
 				return
@@ -362,6 +363,24 @@ func (s *Server) setJob(id string, mut func(*asyncJob)) {
 	}
 }
 
+// maxFinishedJobs bounds the finished async jobs kept for polling, since
+// each holds its full result body. Past it the job that finished first is
+// forgotten, and polling its ID answers 404.
+const maxFinishedJobs = 1024
+
+// finishJob records a job's outcome and evicts the oldest finished jobs
+// beyond maxFinishedJobs.
+func (s *Server) finishJob(id string, mut func(*asyncJob)) {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	mut(s.jobs[id])
+	s.finished = append(s.finished, id)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.jobsMu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -371,7 +390,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobsMu.Unlock()
 	if !ok {
-		writeErr(w, errf(http.StatusNotFound, "unknown job %q", r.PathValue("id")))
+		writeErr(w, errf(http.StatusNotFound, "unknown or expired job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

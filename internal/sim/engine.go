@@ -1,9 +1,11 @@
 package sim
 
+import "fmt"
+
 // Engine is the shared event-driven simulation driver every machine model
-// runs on. It keeps the deterministic contract the exhaustive Scheduler
-// established — registration order is evaluation order, statistics are
-// bit-identical to stepping every component every cycle — while paying
+// runs on, and the only way simulated time advances. Its deterministic
+// contract — registration order is evaluation order, statistics are
+// bit-identical to stepping every component every cycle — holds while paying
 // O(active) per tick instead of O(registered): a wake-queue (indexed
 // min-heap of per-component wake cycles) decides who steps, and nextEvent
 // is a heap peek instead of an O(n) poll.
@@ -33,16 +35,15 @@ package sim
 // Mutating a component between Runs (Poke, SetReg, pre-loading requests)
 // needs no explicit wake: Run re-arms every component at entry.
 //
-// Components that do not implement EventAware (plain ComponentFuncs) make
-// the schedule open-loop: the engine falls back to exhaustive per-cycle
-// stepping of everything, exactly the pre-wake-queue behaviour.
+// Every registered component must be EventAware. StepEveryCycle switches
+// an engine to the reference schedule the honesty checks compare against:
+// every component steps every cycle, with no wake queue and no idle jumps.
 type Engine struct {
-	components []Component
-	events     []EventAware      // events[i] non-nil iff components[i] is EventAware
+	components []EventAware
 	settlers   []Settler         // settlers[i] non-nil iff components[i] settles
 	allSettle  []Settler         // compact list for settleAll
-	index      map[Component]int // EventAware components only (funcs are unhashable)
-	legacy     bool              // a non-EventAware component forces exhaustive stepping
+	index      map[Component]int // registration index by identity
+	everyCycle bool              // StepEveryCycle: exhaustive reference stepping
 
 	now         Cycle
 	prevTick    Cycle // the executed tick before now: the slot clock for SlotNow
@@ -117,25 +118,23 @@ func NewEngine() *Engine {
 }
 
 // Register adds c to the step list. Registration order is evaluation
-// order — part of the deterministic contract, exactly as with Scheduler.
-// EventAware components are entered into the wake-queue; Wakeable ones
-// receive the engine's Waker.
+// order — part of the deterministic contract. c must be EventAware (it is
+// entered into the wake-queue); Register panics otherwise. Wakeable
+// components receive the engine's Waker.
 func (e *Engine) Register(c Component) {
+	ea, ok := c.(EventAware)
+	if !ok {
+		panic(fmt.Sprintf("sim: Register of %T, which is not EventAware", c))
+	}
 	i := len(e.components)
-	e.components = append(e.components, c)
+	e.components = append(e.components, ea)
+	e.index[c] = i
 	var s Settler
 	if ss, ok := c.(Settler); ok {
 		s = ss
 		e.allSettle = append(e.allSettle, ss)
 	}
 	e.settlers = append(e.settlers, s)
-	ea, ok := c.(EventAware)
-	e.events = append(e.events, ea)
-	if ok {
-		e.index[c] = i
-	} else {
-		e.legacy = true
-	}
 	e.wake = append(e.wake, Never)
 	e.pos = append(e.pos, -1)
 	e.inDue = append(e.inDue, false)
@@ -143,6 +142,14 @@ func (e *Engine) Register(c Component) {
 		w.Attach(e)
 	}
 }
+
+// StepEveryCycle makes every later Run step every registered component
+// on every cycle, in registration order, ignoring NextEvent answers and
+// wakes and never jumping over idle cycles. It is the reference arm of
+// the engine-honesty checks: an honest component set produces the same
+// cycle counts and statistics with or without it. Such an engine cannot
+// be checkpointed.
+func (e *Engine) StepEveryCycle() { e.everyCycle = true }
 
 // Now reports the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -168,8 +175,8 @@ func (e *Engine) SlotNow(c Component) Cycle {
 // current tick; anything else arms in the future heap, clamped to now.
 func (e *Engine) Wake(c Component, at Cycle) {
 	e.wakesEnqueued++
-	if e.legacy {
-		return // exhaustive mode steps everyone every cycle anyway
+	if e.everyCycle {
+		return // every component steps every cycle anyway
 	}
 	i, ok := e.index[c]
 	if !ok {
@@ -412,9 +419,10 @@ func (e *Engine) tick() {
 		i := e.duePop()
 		e.inDue[i] = false
 		e.stepping = i
-		e.components[i].Step(e.now)
+		c := e.components[i]
+		c.Step(e.now)
 		e.stepsExecuted++
-		if t := e.events[i].NextEvent(e.now); t != Never {
+		if t := c.NextEvent(e.now); t != Never {
 			e.arm(i, t)
 		}
 	}
@@ -423,9 +431,9 @@ func (e *Engine) tick() {
 	e.now += e.stride
 }
 
-// legacyTick steps every component, in registration order — the exhaustive
-// fallback when a non-EventAware component is registered.
-func (e *Engine) legacyTick() {
+// stepAll steps every component, in registration order — the exhaustive
+// tick of StepEveryCycle.
+func (e *Engine) stepAll() {
 	for i, c := range e.components {
 		e.stepping = i
 		c.Step(e.now)
@@ -434,24 +442,6 @@ func (e *Engine) legacyTick() {
 	e.stepping = -1
 	e.prevTick = e.now
 	e.now += e.stride
-}
-
-// legacyNextEvent polls every component, exactly as Scheduler.NextEvent:
-// non-EventAware components pin it to now.
-func (e *Engine) legacyNextEvent() Cycle {
-	next := Never
-	for _, ea := range e.events {
-		if ea == nil {
-			return e.now
-		}
-		if t := ea.NextEvent(e.now); t < next {
-			next = t
-		}
-		if next <= e.now {
-			return e.now
-		}
-	}
-	return next
 }
 
 // settleAll settles per-cycle statistics through the current cycle.
@@ -483,16 +473,14 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 		}
 	} else {
 		e.gridAnchor = e.now
-		if !e.legacy {
-			e.wakeAllAt(e.now)
-		}
+		e.wakeAllAt(e.now)
 	}
 	for e.now-start < limit {
 		if done() {
 			return e.now - start, true
 		}
-		if e.legacy {
-			e.legacyTick()
+		if e.everyCycle {
+			e.stepAll()
 		} else {
 			e.tick()
 		}
@@ -515,13 +503,12 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 // aligned to the stride grid. Shared by the post-tick path and the
 // resume-from-checkpoint prologue.
 func (e *Engine) idleJump(start, limit Cycle) {
-	var t Cycle
-	if e.legacy {
-		t = e.legacyNextEvent()
-	} else if len(e.fheap) > 0 {
+	if e.everyCycle {
+		return
+	}
+	t := Never
+	if len(e.fheap) > 0 {
 		t = e.wake[e.fheap[0]]
-	} else {
-		t = Never
 	}
 	if t <= e.now {
 		return
@@ -534,9 +521,7 @@ func (e *Engine) idleJump(start, limit Cycle) {
 			// contract degrades safely) or a genuinely-finished
 			// machine whose done predicate lags: advance one
 			// exhaustive tick rather than jumping.
-			if !e.legacy {
-				e.wakeAllAt(e.now)
-			}
+			e.wakeAllAt(e.now)
 			return
 		}
 		// Nothing will fire an event, but a resource is still
@@ -565,7 +550,7 @@ func (e *Engine) idleJump(start, limit Cycle) {
 		e.cyclesSkipped += uint64(t - e.now)
 	}
 	e.now = t
-	if fromHorizon && !clamped && !e.legacy {
+	if fromHorizon && !clamped {
 		// The horizon tick is exhaustive, as it was under polling:
 		// no component predicted it, so every slot must run. When the
 		// clamp cut the jump short (the run is pausing at its limit),

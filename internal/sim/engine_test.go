@@ -27,18 +27,22 @@ func (p *beacon) NextEvent(now Cycle) Cycle {
 	return now + (p.period - now%p.period)
 }
 
-// TestEngineMatchesScheduler pins the core contract: an Engine run and an
-// exhaustive Scheduler run produce identical elapsed cycles and identical
-// event times, while the Engine steps far fewer times.
-func TestEngineMatchesScheduler(t *testing.T) {
+// TestEngineMatchesStepEveryCycle pins the core contract: a wake-queue run
+// and a StepEveryCycle run produce identical elapsed cycles and identical
+// event times, while the wake-queue run steps far fewer times.
+func TestEngineMatchesStepEveryCycle(t *testing.T) {
 	mk := func() *beacon { return &beacon{period: 100, count: 5} }
 
 	exh := mk()
-	sched := NewScheduler()
-	sched.Register(exh)
-	exhElapsed, ok := sched.Run(func() bool { return Cycle(len(exh.fired)) >= exh.count }, 10_000)
+	ref := NewEngine()
+	ref.StepEveryCycle()
+	ref.Register(exh)
+	exhElapsed, ok := ref.Run(func() bool { return Cycle(len(exh.fired)) >= exh.count }, 10_000)
 	if !ok {
-		t.Fatal("scheduler run did not finish")
+		t.Fatal("exhaustive run did not finish")
+	}
+	if exh.stepped != exhElapsed {
+		t.Fatalf("StepEveryCycle stepped %d times over %d cycles", exh.stepped, exhElapsed)
 	}
 
 	ev := mk()
@@ -75,6 +79,31 @@ func TestEngineLimit(t *testing.T) {
 	elapsed, ok := e.Run(func() bool { return false }, 500)
 	if ok || elapsed != 500 {
 		t.Fatalf("elapsed %d ok %v, want 500 false", elapsed, ok)
+	}
+}
+
+// TestEngineTickOrder: components due on the same tick step in
+// registration order under both schedules, and a run whose predicate
+// already holds costs zero cycles.
+func TestEngineTickOrder(t *testing.T) {
+	for _, everyCycle := range []bool{false, true} {
+		e := NewEngine()
+		if everyCycle {
+			e.StepEveryCycle()
+		}
+		var order []int
+		for i := 0; i < 5; i++ {
+			e.Register(&StepFunc{Fn: func(Cycle) { order = append(order, i) }})
+		}
+		if elapsed, ok := e.Run(func() bool { return true }, 100); !ok || elapsed != 0 || len(order) != 0 {
+			t.Fatalf("everyCycle=%v: finished run took %d cycles, ok %v, %d steps", everyCycle, elapsed, ok, len(order))
+		}
+		e.Run(func() bool { return len(order) >= 5 }, 100)
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("everyCycle=%v: stepped out of registration order: %v", everyCycle, order)
+			}
+		}
 	}
 }
 
@@ -261,24 +290,77 @@ func TestEngineWakeUnregisteredPanics(t *testing.T) {
 	e.Wake(&sleeper{}, 0)
 }
 
-// TestEngineLegacyFallback: registering a component without NextEvent
-// (not EventAware) must degrade to exhaustive stepping with unchanged
-// results — the ComponentFunc drivers in older experiments rely on it.
-func TestEngineLegacyFallback(t *testing.T) {
-	var plainSteps Cycle
-	plain := ComponentFunc(func(now Cycle) { plainSteps++ })
-	b := &beacon{period: 100, count: 3}
-	e := NewEngine()
-	e.Register(plain)
-	e.Register(b)
-	elapsed, ok := e.Run(func() bool { return Cycle(len(b.fired)) >= 3 }, 10_000)
-	if !ok {
-		t.Fatal("run did not finish")
+// plain has Step but no NextEvent.
+type plain struct{}
+
+func (plain) Step(Cycle) {}
+
+// TestEngineRejectsNonEventAware: a component without NextEvent has no
+// place on the wake queue, so registering one is a wiring bug.
+func TestEngineRejectsNonEventAware(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted a component that is not EventAware")
+		}
+	}()
+	NewEngine().Register(plain{})
+}
+
+// liar does work every `period` cycles, but its NextEvent claims it holds
+// none unless honest is set — a NextEvent that breaks the honesty
+// contract.
+type liar struct {
+	period Cycle
+	honest bool
+	work   []Cycle
+}
+
+func (l *liar) Step(now Cycle) {
+	if now%l.period == 0 {
+		l.work = append(l.work, now)
 	}
-	if elapsed != 201 {
-		t.Fatalf("elapsed %d, want 201 (fire at 0, 100, 200 then done)", elapsed)
+}
+
+func (l *liar) NextEvent(now Cycle) Cycle {
+	if !l.honest {
+		return Never
 	}
-	if plainSteps != elapsed {
-		t.Fatalf("plain component stepped %d times over %d cycles; legacy mode must step every cycle", plainSteps, elapsed)
+	return now + l.period - now%l.period
+}
+
+// TestStepEveryCycleCatchesDishonesty proves the honesty checks' reference
+// arm has teeth: a component whose NextEvent hides work makes the
+// wake-queue run diverge from the StepEveryCycle run, while the same
+// component answering honestly makes the two agree.
+func TestStepEveryCycleCatchesDishonesty(t *testing.T) {
+	run := func(honest, everyCycle bool) []Cycle {
+		l := &liar{period: 10, honest: honest}
+		e := NewEngine()
+		if everyCycle {
+			e.StepEveryCycle()
+		}
+		e.Register(l)
+		// An honest neighbour keeps the wake queue armed; with nothing
+		// armed at all the engine degrades to ticking every cycle.
+		e.Register(&beacon{period: 50, count: 10})
+		e.Run(func() bool { return false }, 100)
+		return l.work
+	}
+	same := func(a, b []Cycle) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if ref, got := run(false, true), run(false, false); same(ref, got) {
+		t.Fatalf("dishonest component: wake-queue run %v matches the reference %v", got, ref)
+	}
+	if ref, got := run(true, true), run(true, false); !same(ref, got) {
+		t.Fatalf("honest component: wake-queue run %v, reference %v", got, ref)
 	}
 }

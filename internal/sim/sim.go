@@ -1,15 +1,11 @@
 // Package sim provides the deterministic simulation kernel shared by every
-// machine model in this repository: a cycle-stepped scheduler for
-// synchronous hardware models, an event heap for discrete-event models, and
-// a seeded pseudo-random number generator so that all experiments are
-// reproducible run-to-run.
+// machine model in this repository: Engine, the wake-queue scheduler that
+// alone advances simulated time, the checkpoint codec, and a seeded
+// pseudo-random number generator so that all experiments are reproducible
+// run-to-run.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Cycle is a point in simulated time, measured in machine cycles.
 type Cycle uint64
@@ -19,238 +15,34 @@ type Cycle uint64
 // they hold no work at all.
 const Never = Cycle(math.MaxUint64)
 
-// Component is a piece of synchronous hardware. On every cycle the
-// scheduler calls Step exactly once with the current time. Components must
-// not assume any particular ordering relative to other components within a
-// cycle; anything that needs strict phase ordering should be registered as
-// separate components in the desired order.
+// Component is a piece of synchronous hardware. On every cycle it is due,
+// the engine calls Step exactly once with the current time. Components
+// must not assume any particular ordering relative to other components
+// within a cycle; anything that needs strict phase ordering should be
+// registered as separate components in the desired order.
 type Component interface {
 	Step(now Cycle)
 }
 
-// ComponentFunc adapts an ordinary function to the Component interface.
-type ComponentFunc func(now Cycle)
-
-// Step calls f(now).
-func (f ComponentFunc) Step(now Cycle) { f(now) }
-
-// EventAware is an optional Component extension for idle skipping. A
-// component that knows when its next state change can possibly happen
-// reports it from NextEvent: `now` means "step me this cycle", a future
+// EventAware is the interface every component registered with an Engine
+// implements. A component reports from NextEvent when its next state
+// change can possibly happen: `now` means "step me this cycle", a future
 // cycle means "stepping me before then is a no-op", and Never means "I
-// hold no work". Components that cannot promise this simply don't
-// implement the interface and are stepped every cycle.
+// hold no work".
 type EventAware interface {
 	Component
 	NextEvent(now Cycle) Cycle
 }
 
-// Scheduler drives a set of Components in lockstep. Components are stepped
-// in registration order, which is part of the simulation's deterministic
-// contract: the same program on the same machine configuration always
-// produces the same cycle counts.
-type Scheduler struct {
-	components []Component
-	now        Cycle
+// StepFunc adapts an ordinary function to an EventAware component that is
+// due every cycle. Register it by pointer: the engine keys components by
+// identity, and func values are not comparable.
+type StepFunc struct {
+	Fn func(now Cycle)
 }
 
-// NewScheduler returns an empty scheduler at cycle 0.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+// Step calls Fn(now).
+func (f *StepFunc) Step(now Cycle) { f.Fn(now) }
 
-// Register adds c to the step list. Registration order is evaluation order.
-func (s *Scheduler) Register(c Component) { s.components = append(s.components, c) }
-
-// Now reports the current cycle.
-func (s *Scheduler) Now() Cycle { return s.now }
-
-// Tick advances simulated time by one cycle, stepping every component.
-func (s *Scheduler) Tick() {
-	for _, c := range s.components {
-		c.Step(s.now)
-	}
-	s.now++
-}
-
-// Run advances until the predicate done reports true or limit cycles have
-// elapsed, and returns the number of cycles executed along with whether the
-// predicate was satisfied. done is evaluated before each cycle, so a
-// simulation that is already finished costs zero cycles.
-func (s *Scheduler) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
-	start := s.now
-	for s.now-start < limit {
-		if done() {
-			return s.now - start, true
-		}
-		s.Tick()
-	}
-	return s.now - start, done()
-}
-
-// NextEvent reports the earliest cycle at which any registered component
-// can make progress: the minimum of the components' NextEvent answers.
-// Components that are not EventAware pin the answer to now (they must be
-// stepped every cycle).
-func (s *Scheduler) NextEvent() Cycle {
-	next := Never
-	for _, c := range s.components {
-		ea, ok := c.(EventAware)
-		if !ok {
-			return s.now
-		}
-		if t := ea.NextEvent(s.now); t < next {
-			next = t
-		}
-		if next <= s.now {
-			return s.now
-		}
-	}
-	return next
-}
-
-// RunEvented is Run with idle skipping: after each tick, if every
-// component reports its next possible state change lies in the future,
-// simulated time jumps straight there instead of burning empty cycles.
-// Cycle counts are identical to Run's for any component set whose
-// NextEvent contract is honest; a mix of event-aware and plain components
-// degrades gracefully to per-cycle stepping.
-func (s *Scheduler) RunEvented(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
-	start := s.now
-	for s.now-start < limit {
-		if done() {
-			return s.now - start, true
-		}
-		s.Tick()
-		if done() {
-			continue // report the exact completion cycle, not a jump target
-		}
-		if t := s.NextEvent(); t > s.now {
-			if t == Never || t-start > limit {
-				t = start + limit
-			}
-			s.now = t
-		}
-	}
-	return s.now - start, done()
-}
-
-// ErrLimit is returned by MustRun when the cycle limit is exhausted before
-// the completion predicate holds.
-type ErrLimit struct {
-	Limit Cycle
-}
-
-func (e ErrLimit) Error() string {
-	return fmt.Sprintf("sim: cycle limit %d exhausted before completion", e.Limit)
-}
-
-// MustRun is Run, but converts a limit overrun into an error value, for
-// callers that treat non-termination as failure.
-func (s *Scheduler) MustRun(done func() bool, limit Cycle) (Cycle, error) {
-	elapsed, ok := s.Run(done, limit)
-	if !ok {
-		return elapsed, ErrLimit{Limit: limit}
-	}
-	return elapsed, nil
-}
-
-// Event is a scheduled callback in a discrete-event simulation.
-type Event struct {
-	At  Cycle
-	Seq uint64 // tie-break so same-cycle events fire in schedule order
-	Fn  func()
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].Seq < h[j].Seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// EventQueue is a discrete-event kernel: callbacks scheduled at absolute
-// cycles, dispatched in (time, schedule-order) order.
-type EventQueue struct {
-	h   eventHeap
-	now Cycle
-	seq uint64
-}
-
-// NewEventQueue returns an empty queue at cycle 0.
-func NewEventQueue() *EventQueue { return &EventQueue{} }
-
-// Now reports the time of the most recently dispatched event.
-func (q *EventQueue) Now() Cycle { return q.now }
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return q.h.Len() }
-
-// At schedules fn to run at absolute cycle t. Scheduling in the past
-// (t < Now) is a programming error and panics.
-func (q *EventQueue) At(t Cycle, fn func()) {
-	if t < q.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, now is %d", t, q.now))
-	}
-	q.seq++
-	heap.Push(&q.h, &Event{At: t, Seq: q.seq, Fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (q *EventQueue) After(d Cycle, fn func()) { q.At(q.now+d, fn) }
-
-// Next reports the cycle of the earliest pending event, or Never when the
-// queue is empty — the queue's NextEvent answer for event-driven owners.
-func (q *EventQueue) Next() Cycle {
-	if q.h.Len() == 0 {
-		return Never
-	}
-	return q.h[0].At
-}
-
-// RunOne dispatches the next event, if any, and reports whether one ran.
-func (q *EventQueue) RunOne() bool {
-	if q.h.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&q.h).(*Event)
-	q.now = e.At
-	e.Fn()
-	return true
-}
-
-// RunUntil dispatches events until the queue is empty or simulated time
-// would pass the deadline. It returns the number of events dispatched.
-func (q *EventQueue) RunUntil(deadline Cycle) int {
-	n := 0
-	for q.h.Len() > 0 && q.h[0].At <= deadline {
-		q.RunOne()
-		n++
-	}
-	return n
-}
-
-// Drain dispatches every pending event and returns the count dispatched. A
-// limit guards against runaway self-scheduling models; Drain panics if more
-// than limit events fire.
-func (q *EventQueue) Drain(limit int) int {
-	n := 0
-	for q.RunOne() {
-		n++
-		if n > limit {
-			panic(fmt.Sprintf("sim: event queue did not drain within %d events", limit))
-		}
-	}
-	return n
-}
+// NextEvent reports now: a StepFunc is always due.
+func (f *StepFunc) NextEvent(now Cycle) Cycle { return now }

@@ -378,13 +378,16 @@ func saveWakeQueue(e *Enc, wake []Cycle, pos []int) {
 
 // SaveState implements Stateful. The engine must be between ticks (it
 // always is from Run's perspective: checkpoints are taken after Run
-// returns at a pause cycle).
+// returns at a pause cycle) and must not be stepping every cycle: that
+// reference schedule has no wake queue to save.
 func (e *Engine) SaveState(enc *Enc) {
 	if e.stepping >= 0 || len(e.due) > 0 {
 		panic("sim: Engine.SaveState mid-tick")
 	}
-	enc.Tag("engine", 1)
-	enc.Bool(e.legacy)
+	if e.everyCycle {
+		panic("sim: Engine.SaveState under StepEveryCycle")
+	}
+	enc.Tag("engine", 2)
 	enc.Cycle(e.now)
 	enc.Cycle(e.prevTick)
 	enc.Cycle(e.stride)
@@ -403,10 +406,9 @@ func (e *Engine) SaveState(enc *Enc) {
 // tick), keeping every scheduling counter bit-identical to an
 // uninterrupted run.
 func (e *Engine) LoadState(d *Dec) error {
-	if err := d.Tag("engine", 1); err != nil {
+	if err := d.Tag("engine", 2); err != nil {
 		return err
 	}
-	legacy := d.Bool()
 	now, prevTick, stride := d.Cycle(), d.Cycle(), d.Cycle()
 	busyHorizon, gridAnchor := d.Cycle(), d.Cycle()
 	steps, skipped, wakes := d.U64(), d.U64(), d.U64()
@@ -415,9 +417,6 @@ func (e *Engine) LoadState(d *Dec) error {
 	}
 	if d.Err() != nil {
 		return d.Err()
-	}
-	if legacy != e.legacy {
-		return fmt.Errorf("checkpoint: engine legacy mode %v, machine has %v", legacy, e.legacy)
 	}
 	n := d.Len(d.Remaining())
 	if d.Err() != nil {

@@ -238,7 +238,7 @@ func TestWakeQueueRejectsPreTickArm(t *testing.T) {
 	}
 	data := Checkpoint(m)
 
-	// The stream layout is magic, "engine" tag, legacy bool, core cycles
+	// The stream layout is magic, "engine" tag, core cycles
 	// (now first, prevTick second), ... wake entries. Rather than patch
 	// bytes at a fragile offset, rebuild a stream with an impossible arm by
 	// saving a doctored rig.

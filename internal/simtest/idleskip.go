@@ -8,10 +8,11 @@ import "repro/internal/sim"
 //
 //	if NextEvent(now) > now, then Step(now) must be a no-op.
 //
-// Registering the wrapper in a component's place under exhaustive
-// per-cycle stepping and comparing every observable against an unwrapped
-// run proves the contract directly — if any suppressed Step would have
-// done work, cycle counts or statistics diverge. Skipped counts how many
+// Registering the wrapper in a component's place on an engine stepping
+// every cycle (sim.Engine.StepEveryCycle) and comparing every observable
+// against an unwrapped run proves the contract directly — if any
+// suppressed Step would have done work, cycle counts or statistics
+// diverge. Skipped counts how many
 // Steps were suppressed, so tests can assert the property was actually
 // exercised rather than vacuously true.
 //
@@ -54,9 +55,8 @@ func (s *IdleSkipper) NextEvent(now sim.Cycle) sim.Cycle {
 	return s.Inner.NextEvent(now)
 }
 
-// Settle settles the inner component's lazily-accounted statistics. Tests
-// driving a plain Scheduler (which never settles) call this after the run,
-// mirroring what sim.Engine.Run does on exit.
+// Settle settles the inner component's lazily-accounted statistics.
+// sim.Engine.Run calls it on exit, as it does for every Settler.
 func (s *IdleSkipper) Settle(through sim.Cycle) {
 	if st, ok := s.Inner.(sim.Settler); ok {
 		st.Settle(through)

@@ -158,8 +158,8 @@ func TestIdleSkipperAttachesAsWakerAndSettles(t *testing.T) {
 		t.Fatalf("Wake settled through %d, want 10", inner.settledThrough)
 	}
 
-	// Explicit Settle forwards verbatim (the post-run settlement a plain
-	// Scheduler never performs).
+	// Explicit Settle forwards verbatim (the post-run settlement
+	// sim.Engine.Run performs).
 	sk.Settle(123)
 	if inner.settledThrough != 123 {
 		t.Fatalf("Settle(123) settled through %d", inner.settledThrough)

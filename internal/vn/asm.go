@@ -58,6 +58,9 @@ func Assemble(src string) (*Program, error) {
 			continue
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 {
+			return nil, fmt.Errorf("vn: line %d: operands without a mnemonic", ln+1)
+		}
 		mnemonic := strings.ToLower(fields[0])
 		args := fields[1:]
 		instr, labelRef, err := parseInstr(mnemonic, args)

@@ -398,17 +398,29 @@ func (c *Core) execute(ctx *context) {
 	case JR:
 		ctx.pc = int(ctx.regs[rs])
 	case LD:
-		c.issueMem(ctx, MemRequest{Op: MemRead, Addr: memAddr(ctx.regs[rs], in.Imm)}, rd)
+		if a, ok := memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
+			c.issueMem(ctx, MemRequest{Op: MemRead, Addr: a}, rd)
+		}
 	case ST:
-		c.issueMem(ctx, MemRequest{Op: MemWrite, Addr: memAddr(ctx.regs[rs], in.Imm), Value: ctx.regs[rt]}, 0)
+		if a, ok := memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
+			c.issueMem(ctx, MemRequest{Op: MemWrite, Addr: a, Value: ctx.regs[rt]}, 0)
+		}
 	case FAA:
-		c.issueMem(ctx, MemRequest{Op: MemFetchAdd, Addr: memAddr(ctx.regs[rs], 0), Value: ctx.regs[rt]}, rd)
+		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+			c.issueMem(ctx, MemRequest{Op: MemFetchAdd, Addr: a, Value: ctx.regs[rt]}, rd)
+		}
 	case TAS:
-		c.issueMem(ctx, MemRequest{Op: MemTestSet, Addr: memAddr(ctx.regs[rs], 0)}, rd)
+		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+			c.issueMem(ctx, MemRequest{Op: MemTestSet, Addr: a}, rd)
+		}
 	case CNS:
-		c.issueMem(ctx, MemRequest{Op: MemConsume, Addr: memAddr(ctx.regs[rs], 0)}, rd)
+		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+			c.issueMem(ctx, MemRequest{Op: MemConsume, Addr: a}, rd)
+		}
 	case PRD:
-		c.issueMem(ctx, MemRequest{Op: MemProduce, Addr: memAddr(ctx.regs[rs], 0), Value: ctx.regs[rt]}, 0)
+		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+			c.issueMem(ctx, MemRequest{Op: MemProduce, Addr: a, Value: ctx.regs[rt]}, 0)
+		}
 	default:
 		panic(fmt.Sprintf("vn: cannot execute %s", in.Op))
 	}
@@ -424,12 +436,14 @@ func (c *Core) issueMem(ctx *context, req MemRequest, rd uint8) {
 	c.mem.Request(req)
 }
 
-func memAddr(base Word, off Word) uint32 {
-	a := base + off
+// memAddr converts an effective address. A negative address faults the
+// context: it halts, as it does on a zero divisor.
+func memAddr(ctx *context, a Word) (uint32, bool) {
 	if a < 0 {
-		panic(fmt.Sprintf("vn: negative memory address %d", a))
+		ctx.halted = true
+		return 0, false
 	}
-	return uint32(a)
+	return uint32(a), true
 }
 
 func b2w(b bool) Word {

@@ -11,11 +11,12 @@ import (
 
 // These property tests pin the contract that makes the event-driven
 // sim.Engine trustworthy: for any program, running the very same core and
-// memory under exhaustive per-cycle stepping (sim.Scheduler.Run) and under
-// evented execution (sim.Engine.Run) must produce identical cycle counts
-// and statistics. A component whose NextEvent lies — reporting a later
-// cycle than the one where it would actually act, or failing to settle
-// gauge samples across a jump — shows up here as a divergence.
+// memory under exhaustive per-cycle stepping (sim.Engine.StepEveryCycle)
+// and under evented execution (the engine's wake queue) must produce
+// identical cycle counts and statistics. A component whose NextEvent lies
+// — reporting a later cycle than the one where it would actually act, or
+// failing to settle gauge samples across a jump — shows up here as a
+// divergence.
 
 // randomProgram emits a bounded loop whose body is a random mix of ALU and
 // memory operations. r1 holds the (never-written) memory base, r4 the loop
@@ -84,17 +85,13 @@ func runVNOnce(t *testing.T, src string, contexts, iters int, latency, service s
 	var elapsed sim.Cycle
 	var ok bool
 	const limit = 5_000_000
-	if evented {
-		eng := sim.NewEngine()
-		eng.Register(mem)
-		eng.Register(c)
-		elapsed, ok = eng.Run(done, limit)
-	} else {
-		sch := sim.NewScheduler()
-		sch.Register(mem)
-		sch.Register(c)
-		elapsed, ok = sch.Run(done, limit)
+	eng := sim.NewEngine()
+	if !evented {
+		eng.StepEveryCycle()
 	}
+	eng.Register(mem)
+	eng.Register(c)
+	elapsed, ok = eng.Run(done, limit)
 	var sum Word
 	for a := uint32(0); a < 128; a++ {
 		sum = sum*31 + mem.Peek(a)
@@ -134,14 +131,11 @@ func runVNSkipping(t *testing.T, src string, contexts, iters int, latency, servi
 	}
 	skipMem := simtest.NewIdleSkipper(mem)
 	skipCore := simtest.NewIdleSkipper(c)
-	sch := sim.NewScheduler()
-	sch.Register(skipMem)
-	sch.Register(skipCore)
-	elapsed, ok := sch.Run(func() bool { return c.Halted() && mem.Pending() == 0 }, 5_000_000)
-	// The plain Scheduler never settles; account the trailing skipped
-	// cycles the way sim.Engine.Run does on exit.
-	skipMem.Settle(sch.Now())
-	skipCore.Settle(sch.Now())
+	eng := sim.NewEngine()
+	eng.StepEveryCycle()
+	eng.Register(skipMem)
+	eng.Register(skipCore)
+	elapsed, ok := eng.Run(func() bool { return c.Halted() && mem.Pending() == 0 }, 5_000_000)
 	var sum Word
 	for a := uint32(0); a < 128; a++ {
 		sum = sum*31 + mem.Peek(a)

@@ -54,10 +54,38 @@ func TestAssembleErrors(t *testing.T) {
 		"dup: nop\ndup: nop",
 		"",
 		"ld r1, r2",
+		",",
+		"top: , r1\nhalt",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestNegativeAddressHalts: a negative effective address faults the
+// context, as a zero divisor does, instead of panicking the simulator.
+func TestNegativeAddressHalts(t *testing.T) {
+	for _, src := range []string{
+		"li r1, -1\nld r2, r1, 0\nli r3, 7\nhalt",
+		"li r1, 3\nst r1, r1, -4\nli r3, 7\nhalt",
+		"li r1, -8\nfaa r2, r1, r1\nli r3, 7\nhalt",
+	} {
+		prog, err := Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := NewLatencyMemory(2)
+		c := NewCore(prog, mem, 1)
+		eng := sim.NewEngine()
+		eng.Register(mem)
+		eng.Register(c)
+		if _, ok := eng.Run(func() bool { return c.Halted() && mem.Pending() == 0 }, 100); !ok {
+			t.Fatalf("%q: core did not halt", src)
+		}
+		if got := c.Context(0).Reg(3); got != 0 {
+			t.Fatalf("%q: ran past the faulting access (r3 = %d)", src, got)
 		}
 	}
 }
