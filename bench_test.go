@@ -81,7 +81,7 @@ func BenchmarkInterpreter(b *testing.B) {
 
 // BenchmarkDirectVsInterp runs the direct-execution oracle backend and
 // the TTDA machine (8 PEs) on the same workload programs —
-// the per-workload pair behind BENCH's direct_speedup_vs_interpreted
+// the per-workload pair behind BENCH's direct_speedup_vs_ttda
 // ratio. Loop-heavy shapes (sumloop) collapse their circulation
 // firings into native Go loops; recursion-heavy shapes (fib) only shed
 // the cycle model.

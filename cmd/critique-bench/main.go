@@ -157,8 +157,11 @@ func main() {
 // fields (kernel_shards, barrier_ns_per_epoch) and added num_cpu. Version
 // 5 removed compiled_kernel_wall_ms_per_run and compiled_mcycles_per_sec:
 // the TTDA has one execution path, the compiled plan, which the kernel_*
-// fields already time.
-const benchSchemaVersion = 5
+// fields already time. Version 6 renamed direct_speedup_vs_interpreted to
+// direct_speedup_vs_ttda and the direct_workloads row key
+// speedup_vs_interpreted to speedup_vs_ttda: the ratio has always been
+// direct against the plan-driven TTDA.
+const benchSchemaVersion = 6
 
 // checkpointSelfCheck demonstrates and verifies split-run bit-identity on
 // the kernel workload (matmul(4) on 8 PEs): a run paused every `every`
@@ -279,7 +282,7 @@ type benchReport struct {
 	DirectRuns        int           `json:"direct_runs"`
 	DirectWallMs      float64       `json:"direct_wall_ms_per_run"`
 	DirectMfiringsSec float64       `json:"direct_mfirings_per_sec"`
-	DirectSpeedup     float64       `json:"direct_speedup_vs_interpreted"`
+	DirectSpeedup     float64       `json:"direct_speedup_vs_ttda"`
 	DirectWorkloads   []directBench `json:"direct_workloads"`
 	// KernelCounters reports the engine's scheduling counters for one
 	// kernel run: component steps actually executed, cycles the wake-queue
@@ -541,7 +544,7 @@ type directBench struct {
 	DirectRuns        int     `json:"direct_runs"`
 	DirectWallMs      float64 `json:"direct_wall_ms_per_run"`
 	DirectMfiringsSec float64 `json:"direct_mfirings_per_sec"`
-	Speedup           float64 `json:"speedup_vs_interpreted"`
+	Speedup           float64 `json:"speedup_vs_ttda"`
 }
 
 // benchDirect measures the direct backend against the TTDA on three

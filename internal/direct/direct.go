@@ -25,7 +25,11 @@
 //     dynamic dependence DAG rather than a static statement order);
 //   - arithmetic is the shared graph.Eval, so the direct backend cannot
 //     disagree with the interpreter, the TTDA's ALU, or the emulator on
-//     a single bit of any result.
+//     a single bit of any result. The one exception is the loop
+//     accelerator (loop.go, intloop.go): integer loops with no calls,
+//     conditionals or I-structures run as an int64 register program
+//     whose opcodes mirror Eval's int cases, pinned against the
+//     interpreter by intloop_test.go.
 //
 // What the backend deliberately cannot observe: cycles, per-PE statistics,
 // wave profiles, parallelism, checkpoints. It answers exactly one
@@ -85,7 +89,7 @@ type ctxState struct {
 	// an accelerable loop). Entry arguments of an accelerable activation
 	// are buffered in argBuf instead of delivered, and the whole loop runs
 	// natively once the last one arrives.
-	lp     *loopPlan
+	lp     *intPlan
 	argBuf []token.Value
 	argSet []bool
 	argGot int
@@ -149,7 +153,7 @@ type Exec struct {
 
 	// lps caches the per-block loop-acceleration plans (nil = the block is
 	// not an accelerable loop and runs on the delivery engine).
-	lps    []*loopPlan
+	lps    []*intPlan
 	lpDone []bool
 }
 

@@ -12,10 +12,10 @@ import (
 // read from the heads and a body DAG read from the switches' true arms.
 // That shape is static, so instead of routing three bookkeeping firings
 // per variable per iteration through the delivery engine, the lowerer
-// recognizes it once and runs the whole loop as real Go control flow: a
-// native for-loop over the predicate and body DAGs in topological order,
-// with the circulation machinery reduced to firing-count arithmetic
-// (heads, switches and Ds move values the native loop already holds in
+// recognizes it once, types it as an int64 register program
+// (intloop.go), and runs the whole loop as a native Go for-loop, with the
+// circulation machinery reduced to firing-count arithmetic (heads,
+// switches and Ds move values the native loop already holds in
 // registers). The firing count per steady iteration is exactly the
 // delivery engine's, because every classified instruction fires exactly
 // once per iteration in both schedules.
@@ -26,39 +26,30 @@ import (
 // delivery engine as ordinary entry deliveries at the current initiation,
 // and the engine refires that iteration — taking the false arms through
 // D-1/L-1, or surfacing the eval fault with the standard activity-name
-// message. Blocks whose shape the recognizer cannot prove (conditionals
-// in the body, I-structure traffic, nested calls) simply get no plan and
-// run entirely on the delivery engine; rejection is always safe, only
-// speed varies.
+// message. Blocks whose shape the recognizer cannot prove (calls,
+// conditionals or I-structure traffic in the body) or whose DAGs do not
+// type as int64 (floats, sqrt, a bool loop variable) simply get no plan
+// and run entirely on the delivery engine; rejection is always safe, only
+// speed varies. Among the committed workloads only sumloop's loop is
+// accepted.
 
 // loopSrc names where a DAG operand comes from at runtime: a circulating
-// loop variable or a previously-computed op slot.
+// loop variable, or the statement of an earlier op in the same DAG.
 type loopSrc struct {
 	isVar bool
 	idx   int
 }
 
 // loopOp is one pure instruction of the predicate or body DAG, with its
-// operands resolved to variables, slots, or literals at lowering time.
+// operands resolved to literals, variables, or producing statements at
+// lowering time.
 type loopOp struct {
 	stmt uint16
 	op   graph.Opcode
 	lit  [2]bool
 	litv [2]token.Value
 	src  [2]loopSrc
-	dst  int
-}
-
-// loopPlan is the lowered form of one accelerable loop block.
-type loopPlan struct {
-	nVars   int
-	nSlots  int
-	predOps []loopOp
-	predSrc loopSrc // the value steering every SWITCH
-	bodyOps []loopOp
-	next    []loopSrc // per variable: its value in the next iteration
-	perIter uint64    // firings per steady (predicate-true) iteration
-	ip      *intPlan  // int64 register specialization, when typable
+	deps []int // producing stmts inside the same DAG
 }
 
 // roles during recognition.
@@ -78,8 +69,9 @@ type arc struct {
 }
 
 // lowerLoop recognizes the compiler's loop-block shape and returns its
-// plan, or nil when any instruction resists classification.
-func lowerLoop(cb *graph.CBlock) *loopPlan {
+// int64 plan, or nil when any instruction resists classification or
+// typing.
+func lowerLoop(cb *graph.CBlock) *intPlan {
 	m := len(cb.Entries)
 	n := len(cb.Instrs)
 	if m == 0 || cb.ID == 0 || n == 0 {
@@ -106,7 +98,6 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 	for k := range dOf {
 		dOf[k] = -1
 	}
-	sawD := false
 	for s := range cb.Instrs {
 		in := &cb.Instrs[s]
 		if _, isHead := headVar[uint16(s)]; isHead {
@@ -125,7 +116,6 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 			}
 			dOf[k] = s
 			roles[s] = roleD
-			sawD = true
 		case graph.KindSwitch:
 			if in.NT != 2 || in.HasLit {
 				return nil
@@ -139,12 +129,9 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 			return nil
 		}
 	}
-	if !sawD {
-		return nil // no iteration machinery: a function block, not a loop
-	}
 	for k := range dOf {
 		if dOf[k] == -1 {
-			return nil
+			return nil // a variable without a D: a function block, not a loop
 		}
 	}
 
@@ -213,52 +200,45 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 			return nil
 		}
 	}
-	if predRoot == -1 {
-		return nil
-	}
 
 	// Predicate DAG: the transitive pure producers of predRoot, reading
-	// only heads, literals, and each other.
+	// only heads, literals, and each other. A head steering the switches
+	// itself is a bool loop variable, which the int64 program cannot hold.
+	if roles[predRoot] != roleCand {
+		return nil
+	}
 	inPred := make([]bool, n)
-	var predSrc loopSrc
-	if k, isHead := headVar[uint16(predRoot)]; isHead {
-		predSrc = loopSrc{isVar: true, idx: k}
-	} else {
-		if roles[predRoot] != roleCand {
-			return nil
-		}
-		stack := []int{predRoot}
-		inPred[predRoot] = true
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			in := &cb.Instrs[s]
-			for p := 0; p < 2; p++ {
-				if in.HasLit && int(in.LitPort) == p {
-					if len(prods[s][p]) != 0 {
-						return nil
-					}
-					continue
-				}
-				arcs := prods[s][p]
-				if len(arcs) == 0 {
-					continue
-				}
-				if len(arcs) != 1 || arcs[0].falseArm || arcs[0].trueArm {
+	stack := []int{predRoot}
+	inPred[predRoot] = true
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		in := &cb.Instrs[s]
+		for p := 0; p < 2; p++ {
+			if in.HasLit && int(in.LitPort) == p {
+				if len(prods[s][p]) != 0 {
 					return nil
 				}
-				from := int(arcs[0].from)
-				switch roles[from] {
-				case roleHead:
-					// variable read: fine
-				case roleCand:
-					if !inPred[from] {
-						inPred[from] = true
-						stack = append(stack, from)
-					}
-				default:
-					return nil
+				continue
+			}
+			arcs := prods[s][p]
+			if len(arcs) == 0 {
+				continue
+			}
+			if len(arcs) != 1 || arcs[0].falseArm || arcs[0].trueArm {
+				return nil
+			}
+			from := int(arcs[0].from)
+			switch roles[from] {
+			case roleHead:
+				// variable read: fine
+			case roleCand:
+				if !inPred[from] {
+					inPred[from] = true
+					stack = append(stack, from)
 				}
+			default:
+				return nil
 			}
 		}
 	}
@@ -288,11 +268,6 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 				if inPred[d.Stmt] {
 					continue
 				}
-				// A head can itself be the predicate (e.g. a boolean loop
-				// variable), in which case it steers every switch directly.
-				if predSrc.isVar && predSrc.idx == k && roles[d.Stmt] == roleSwitch && d.Port == 1 {
-					continue
-				}
 				return nil
 			}
 		}
@@ -301,10 +276,6 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 	// Body DAG: the remaining pure candidates. They read switch true arms
 	// (the circulating values), literals, and each other, and feed each
 	// other and the Ds.
-	isD := make([]bool, n)
-	for _, s := range dOf {
-		isD[s] = true
-	}
 	inBody := make([]bool, n)
 	for s := range cb.Instrs {
 		if roles[s] == roleCand && !inPred[s] {
@@ -312,39 +283,13 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 		}
 	}
 
-	// resolveArc classifies a single input arc for a body op or a D.
 	varOfSwitch := make(map[int]int, m)
 	for k, s := range swOf {
 		varOfSwitch[s] = k
 	}
-	resolve := func(a arc) (loopSrc, bool) {
-		from := int(a.from)
-		if a.trueArm {
-			k, ok := varOfSwitch[from]
-			if !ok || a.falseArm {
-				return loopSrc{}, false
-			}
-			return loopSrc{isVar: true, idx: k}, true
-		}
-		if a.falseArm {
-			return loopSrc{}, false
-		}
-		if inBody[from] {
-			return loopSrc{idx: from}, true // slot index patched after topo sort
-		}
-		return loopSrc{}, false
-	}
-
-	type rawOp struct {
-		stmt uint16
-		src  [2]loopSrc
-		lit  [2]bool
-		litv [2]token.Value
-		deps []int // producing stmts inside the same DAG
-	}
-	buildOp := func(s int, inSet []bool, allowTrueArm bool) (rawOp, bool) {
+	buildOp := func(s int, inSet []bool, allowTrueArm bool) (loopOp, bool) {
 		in := &cb.Instrs[s]
-		op := rawOp{stmt: uint16(s)}
+		op := loopOp{stmt: uint16(s), op: in.Op}
 		arcsSeen := 0
 		for p := 0; p < 2; p++ {
 			if in.HasLit && int(in.LitPort) == p {
@@ -399,7 +344,7 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 			if inBody[d.Stmt] {
 				continue
 			}
-			if isD[d.Stmt] && d.Port == 0 {
+			if roles[d.Stmt] == roleD && d.Port == 0 {
 				continue
 			}
 			return nil
@@ -432,127 +377,75 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 		}
 	}
 
-	// Topologically order each DAG and assign slots.
-	topo := func(set []bool, allowTrueArm bool) ([]loopOp, map[int]int, bool) {
-		var raw []rawOp
+	// topo orders one DAG so every op follows its producers.
+	topo := func(set []bool, allowTrueArm bool) ([]loopOp, bool) {
+		var raw []loopOp
 		for s := range cb.Instrs {
 			if !set[s] {
 				continue
 			}
 			op, ok := buildOp(s, set, allowTrueArm)
 			if !ok {
-				return nil, nil, false
+				return nil, false
 			}
 			raw = append(raw, op)
 		}
-		placed := make(map[int]int, len(raw))
-		var ops []loopOp
+		placed := make([]bool, n)
+		ops := make([]loopOp, 0, len(raw))
 		for len(ops) < len(raw) {
 			progress := false
-			for i := range raw {
-				r := &raw[i]
-				if _, done := placed[int(r.stmt)]; done {
-					continue
-				}
-				ready := true
+			for _, r := range raw {
+				ready := !placed[r.stmt]
 				for _, d := range r.deps {
-					if _, done := placed[d]; !done {
-						ready = false
-						break
-					}
+					ready = ready && placed[d]
 				}
-				if !ready {
-					continue
+				if ready {
+					placed[r.stmt] = true
+					ops = append(ops, r)
+					progress = true
 				}
-				placed[int(r.stmt)] = len(ops)
-				ops = append(ops, loopOp{stmt: r.stmt, op: cb.Instrs[r.stmt].Op, lit: r.lit, litv: r.litv, src: r.src})
-				progress = true
 			}
 			if !progress {
-				return nil, nil, false // cyclic: not a DAG
+				return nil, false // cyclic: not a DAG
 			}
 		}
-		return ops, placed, true
+		return ops, true
 	}
-
-	predOps, predPlaced, ok := topo(inPred, false)
+	predOps, ok := topo(inPred, false)
 	if !ok {
 		return nil
 	}
-	bodyOps, bodyPlaced, ok := topo(inBody, true)
+	bodyOps, ok := topo(inBody, true)
 	if !ok {
 		return nil
 	}
-	// Patch slot indices: predicate slots come first, body slots after.
-	// Each DAG only reads its own slots (checked in buildOp), so patching
-	// is per-DAG.
-	patch := func(ops []loopOp, base int, placed map[int]int) bool {
-		for i := range ops {
-			ops[i].dst = base + i
-			for p := 0; p < 2; p++ {
-				if ops[i].lit[p] || ops[i].src[p].isVar {
-					continue
-				}
-				j, ok := placed[ops[i].src[p].idx]
-				if !ok {
-					return false
-				}
-				ops[i].src[p].idx = base + j
-			}
-		}
-		return true
-	}
-	if !patch(predOps, 0, predPlaced) {
-		return nil
-	}
-	if !patch(bodyOps, len(predOps), bodyPlaced) {
-		return nil
-	}
-	if !predSrc.isVar {
-		j, ok := predPlaced[predRoot]
-		if !ok {
-			return nil
-		}
-		predSrc.idx = j
-	}
 
+	// Each D carries a switch's true arm (an unchanged variable) or a
+	// body result into the next iteration.
 	next := make([]loopSrc, m)
 	for k, ds := range dOf {
 		arcs := prods[ds][0]
-		if len(arcs) != 1 {
+		if len(arcs) != 1 || arcs[0].falseArm {
 			return nil
 		}
-		src, ok := resolve(arcs[0])
-		if !ok {
+		from := int(arcs[0].from)
+		if j, ok := varOfSwitch[from]; ok && arcs[0].trueArm {
+			next[k] = loopSrc{isVar: true, idx: j}
+		} else if !arcs[0].trueArm && inBody[from] {
+			next[k] = loopSrc{idx: from}
+		} else {
 			return nil
 		}
-		if !src.isVar {
-			j, ok := bodyPlaced[src.idx]
-			if !ok {
-				return nil
-			}
-			src.idx = len(predOps) + j
-		}
-		next[k] = src
 	}
-
-	lp := &loopPlan{
-		nVars:   m,
-		nSlots:  len(predOps) + len(bodyOps),
-		predOps: predOps,
-		predSrc: predSrc,
-		bodyOps: bodyOps,
-		next:    next,
-		perIter: uint64(3*m + len(predOps) + len(bodyOps)),
-	}
-	lp.ip = lowerInt(lp)
-	return lp
+	return lowerInt(m, append(predOps, bodyOps...), predRoot, next)
 }
 
-// loopPlanFor lazily lowers (and caches) the loop plan for a block.
-func (x *Exec) loopPlanFor(id graph.BlockID) *loopPlan {
+// loopPlanFor lazily lowers (and caches) the loop plan for a block: nil
+// when the block is not a recognized loop or its DAGs do not type under
+// the int64 discipline.
+func (x *Exec) loopPlanFor(id graph.BlockID) *intPlan {
 	if x.lps == nil {
-		x.lps = make([]*loopPlan, len(x.cg.Blocks))
+		x.lps = make([]*intPlan, len(x.cg.Blocks))
 		x.lpDone = make([]bool, len(x.cg.Blocks))
 	}
 	if !x.lpDone[id] {
@@ -560,122 +453,4 @@ func (x *Exec) loopPlanFor(id graph.BlockID) *loopPlan {
 		x.lps[id] = lowerLoop(x.cg.Block(id))
 	}
 	return x.lps[id]
-}
-
-// evalLoopOp computes one DAG op. The integer fast path mirrors
-// graph.Eval bit for bit (comparisons go through float64 exactly like
-// Eval's AsFloat tower); everything else — floats, faults, div-by-zero —
-// falls through to the shared Eval so the backend cannot diverge.
-func evalLoopOp(op *loopOp, vars, slots []token.Value) (token.Value, error) {
-	var a, b token.Value
-	if op.lit[0] {
-		a = op.litv[0]
-	} else if op.src[0].isVar {
-		a = vars[op.src[0].idx]
-	} else {
-		a = slots[op.src[0].idx]
-	}
-	if op.lit[1] {
-		b = op.litv[1]
-	} else if op.src[1].isVar {
-		b = vars[op.src[1].idx]
-	} else {
-		b = slots[op.src[1].idx]
-	}
-	if a.Kind == token.KindInt && b.Kind == token.KindInt {
-		x, y := a.I, b.I
-		switch op.op {
-		case graph.OpAdd:
-			return token.Int(x + y), nil
-		case graph.OpSub:
-			return token.Int(x - y), nil
-		case graph.OpMul:
-			return token.Int(x * y), nil
-		case graph.OpLT:
-			return token.Bool(float64(x) < float64(y)), nil
-		case graph.OpLE:
-			return token.Bool(float64(x) <= float64(y)), nil
-		case graph.OpGT:
-			return token.Bool(float64(x) > float64(y)), nil
-		case graph.OpGE:
-			return token.Bool(float64(x) >= float64(y)), nil
-		case graph.OpEQ:
-			return token.Bool(float64(x) == float64(y)), nil
-		case graph.OpNE:
-			return token.Bool(float64(x) != float64(y)), nil
-		}
-	} else if op.op == graph.OpIdentity {
-		return a, nil
-	}
-	return graph.Eval(op.op, a, b)
-}
-
-// runLoop executes a fully-argued loop activation natively. It only runs
-// provably-steady iterations; the first iteration that exits, faults, or
-// busts the firing budget is handed back to the delivery engine as plain
-// entry deliveries at the current initiation, and the engine refires it
-// with its ordinary semantics (and its ordinary error messages).
-func (x *Exec) runLoop(u uint32, lp *loopPlan, vars []token.Value) {
-	iter := uint32(1)
-	if lp.ip != nil && x.runLoopInt(lp, vars, &iter) {
-		cs := &x.ctxs[u]
-		for k := lp.nVars - 1; k >= 0; k-- {
-			x.push(u, iter, cs.cb.Entries[k], 0, vars[k])
-		}
-		return
-	}
-	slots := make([]token.Value, lp.nSlots)
-	next := make([]token.Value, lp.nVars)
-	for x.fired <= x.maxSteps {
-		steady := true
-		for i := range lp.predOps {
-			op := &lp.predOps[i]
-			v, err := evalLoopOp(op, vars, slots)
-			if err != nil {
-				steady = false
-				break
-			}
-			slots[op.dst] = v
-		}
-		if steady {
-			var pv token.Value
-			if lp.predSrc.isVar {
-				pv = vars[lp.predSrc.idx]
-			} else {
-				pv = slots[lp.predSrc.idx]
-			}
-			cond, err := pv.AsBool()
-			if err != nil || !cond {
-				steady = false
-			}
-		}
-		if steady {
-			for i := range lp.bodyOps {
-				op := &lp.bodyOps[i]
-				v, err := evalLoopOp(op, vars, slots)
-				if err != nil {
-					steady = false
-					break
-				}
-				slots[op.dst] = v
-			}
-		}
-		if !steady {
-			break
-		}
-		for k, src := range lp.next {
-			if src.isVar {
-				next[k] = vars[src.idx]
-			} else {
-				next[k] = slots[src.idx]
-			}
-		}
-		copy(vars, next)
-		x.fired += lp.perIter
-		iter++
-	}
-	cs := &x.ctxs[u]
-	for k := lp.nVars - 1; k >= 0; k-- {
-		x.push(u, iter, cs.cb.Entries[k], 0, vars[k])
-	}
 }

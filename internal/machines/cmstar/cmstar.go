@@ -251,6 +251,12 @@ type clusterPort struct {
 	cluster int
 }
 
+// AddrLimit bounds the global address space, so a core faults an address
+// beyond the last cluster instead of sending it here.
+func (p *clusterPort) AddrLimit() vn.Word {
+	return vn.Word(p.m.cfg.Clusters) * vn.Word(p.m.cfg.ClusterWords)
+}
+
 // Request routes locally over the map bus or remotely through the Kmap.
 func (p *clusterPort) Request(r vn.MemRequest) {
 	m := p.m

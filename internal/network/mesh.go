@@ -137,7 +137,9 @@ func (m *Mesh) Step(now sim.Cycle) {
 	m.now = now
 	n := m.Ports()
 	for node := 0; node < n; node++ {
-		usedLink := map[int]bool{} // arrival port at neighbor, keyed by next*8+port
+		// usedLink is indexed by arrival port: from a fixed node each
+		// outgoing link is one direction, hence one arrival port.
+		var usedLink [meshPorts]bool
 		inputs := m.in[node]
 		start := m.rr[node]
 		for k := 0; k < meshPorts; k++ {
@@ -155,8 +157,7 @@ func (m *Mesh) Step(now sim.Cycle) {
 				continue
 			}
 			next, arrival := m.nextHop(node, h.Dst)
-			key := next*8 + arrival
-			if usedLink[key] {
+			if usedLink[arrival] {
 				continue // link already carried a packet this cycle
 			}
 			target := m.in[next][arrival]
@@ -175,7 +176,7 @@ func (m *Mesh) Step(now sim.Cycle) {
 			h.Hops++
 			h.moved = now
 			m.in[next][arrival].push(h)
-			usedLink[key] = true
+			usedLink[arrival] = true
 		}
 		m.rr[node] = (start + 1) % meshPorts
 	}

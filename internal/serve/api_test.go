@@ -31,6 +31,8 @@ loop:   sub  r1, r1, r2
 
 const spinAsm = "spin:   j    spin\n        halt\n"
 
+const farLoadAsm = "        li   r1, 100000\n        ld   r2, r1, 0\n        halt\n"
+
 const doubleID = "def main(n) = n * 2;"
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -121,6 +123,11 @@ func TestRunVNAndBaselines(t *testing.T) {
 		}
 		if res.Cycles == 0 || res.Engine == nil {
 			t.Errorf("%s: cycles %d, engine %v — want cycle-accurate counters", machine, res.Cycles, res.Engine)
+		}
+		// A load far beyond every machine's memory faults its context
+		// (as a negative address does) rather than crashing the server.
+		if rr := doJSON(t, s, "POST", "/v1/run", runBody(t, KindVNAsm, machine, farLoadAsm, nil)); rr.Code != http.StatusOK {
+			t.Errorf("%s: out-of-range load: status %d: %s", machine, rr.Code, rr.Body)
 		}
 	}
 }
@@ -421,5 +428,69 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPanickingJobAnswers500 pins the last-resort recover around job
+// execution: a job that panics answers 500 on /v1/run and ends in state
+// "error" on /v1/jobs, is counted in /v1/stats, is never cached, and
+// frees its flight entry — so the same key answers again at once instead
+// of waiting out the timeout, and other keys keep running.
+func TestPanickingJobAnswers500(t *testing.T) {
+	s := newTestServer(t, Options{Timeout: 5 * time.Second})
+	spec := &JobSpec{Kind: KindVNAsm, Machine: "vn", Program: storeAsm(13)}
+	bad := specBody(t, spec)
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	badKey := spec.Key(s.CodeVersion())
+	s.runStarted = func(key string) {
+		if key == badKey {
+			panic("injected fault")
+		}
+	}
+	good := runBody(t, KindVNAsm, "vn", storeAsm(7), nil)
+
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		rr := doJSON(t, s, "POST", "/v1/run", bad)
+		if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "panicked") {
+			t.Fatalf("run %d: status %d body %q, want 500 naming the panic", i, rr.Code, rr.Body)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("run %d took %v: the flight entry was not released", i, d)
+		}
+	}
+	if rr := doJSON(t, s, "POST", "/v1/run", good); rr.Code != http.StatusOK {
+		t.Fatalf("other key after a panic: status %d: %s", rr.Code, rr.Body)
+	}
+
+	poll := func(body string) asyncJob {
+		rr := doJSON(t, s, "POST", "/v1/jobs", body)
+		var job asyncJob
+		if err := json.Unmarshal(rr.Body.Bytes(), &job); err != nil || rr.Code != http.StatusAccepted {
+			t.Fatalf("submit: status %d body %q: %v", rr.Code, rr.Body, err)
+		}
+		id := job.ID
+		waitFor(t, "async job "+id, func() bool {
+			json.Unmarshal(doJSON(t, s, "GET", "/v1/jobs/"+id, "").Body.Bytes(), &job)
+			return job.State == "done" || job.State == "error"
+		})
+		return job
+	}
+	for i := 0; i < 2; i++ {
+		if job := poll(bad); job.State != "error" || !strings.Contains(job.Error, "panicked") {
+			t.Fatalf("async run %d: %+v, want state error naming the panic", i, job)
+		}
+	}
+	if job := poll(good); job.State != "done" {
+		t.Fatalf("other key after an async panic: %+v", job)
+	}
+
+	if st := s.Stats(); st.Panics != 4 {
+		t.Errorf("panics = %d, want 4", st.Panics)
+	}
+	if _, ok := s.cache.Get(badKey); ok || s.flight.inFlight(badKey) {
+		t.Error("a panicked job left a cache entry or a flight entry behind")
 	}
 }

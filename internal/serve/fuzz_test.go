@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/vn"
 )
 
 // FuzzSpecKey throws arbitrary request bodies at spec decoding and
@@ -45,6 +48,34 @@ func FuzzSpecKey(f *testing.F) {
 		}
 		if key2 := spec2.Key("fuzz"); key2 != key {
 			t.Fatalf("key changed across re-marshal: %s vs %s\nbody: %q\nre-marshalled: %s", key, key2, body, again)
+		}
+	})
+}
+
+// FuzzBaselineRun runs every vn assembly program the assembler accepts
+// on the four serve baselines with a small cycle limit. A job may fail
+// with a status; it must never panic, since a panic on the async path
+// takes the whole server down.
+func FuzzBaselineRun(f *testing.F) {
+	for _, src := range []string{
+		"li r1, 100000\nld r2, r1, 0\nhalt",
+		"li r1, -1\nst r1, r1, 0\nhalt",
+		"li r1, 64\nli r2, 1\nfaa r3, r1, r2\ntas r4, r1\nhalt",
+		"cns r1, r0\nprd r1, r0\nhalt",
+		"loop: j loop",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if _, err := vn.Assemble(src); err != nil {
+			return
+		}
+		for _, machine := range []string{"cmmp", "cmstar", "ultra", "hep"} {
+			spec := &JobSpec{Kind: KindVNAsm, Machine: machine, Program: src, Config: &Config{MaxCycles: 5_000}}
+			if spec.normalize() != nil {
+				return
+			}
+			runJob(context.Background(), spec)
 		}
 	})
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,6 +72,7 @@ type Server struct {
 
 	executions atomic.Uint64
 	coalesced  atomic.Uint64
+	panics     atomic.Uint64
 
 	jobsMu   sync.Mutex
 	jobs     map[string]*asyncJob
@@ -135,6 +138,7 @@ type ServerStats struct {
 	CodeVersion string     `json:"code_version"`
 	Executions  uint64     `json:"executions"`
 	Coalesced   uint64     `json:"coalesced"`
+	Panics      uint64     `json:"panics"`
 	Cache       CacheStats `json:"cache"`
 	Workers     int        `json:"workers"`
 	Running     int        `json:"running"`
@@ -147,6 +151,7 @@ func (s *Server) Stats() ServerStats {
 		CodeVersion: s.codeVersion,
 		Executions:  s.executions.Load(),
 		Coalesced:   s.coalesced.Load(),
+		Panics:      s.panics.Load(),
 		Cache:       s.cache.Stats(),
 		Workers:     s.pool.Workers(),
 		Running:     s.pool.Running(),
@@ -167,6 +172,17 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, key string) (body [
 			var out []byte
 			var runErr error
 			if perr := s.pool.Do(ctx, func() {
+				// Last resort: a simulator panic fails this job with 500
+				// (never cached) and releases its flight entry, instead of
+				// stranding every follower or, off a request goroutine,
+				// killing the process.
+				defer func() {
+					if p := recover(); p != nil {
+						s.panics.Add(1)
+						log.Printf("serve: job %s panicked: %v\n%s", key, p, debug.Stack())
+						out, runErr = nil, fmt.Errorf("internal error: job %s panicked: %v", key, p)
+					}
+				}()
 				if s.runStarted != nil {
 					s.runStarted(key)
 				}

@@ -66,6 +66,14 @@ type MemPort interface {
 	Request(r MemRequest)
 }
 
+// AddrLimiter is implemented by a MemPort whose address space is
+// bounded: AddrLimit is the first address it cannot serve. A core over
+// such a port faults a context at or beyond the limit instead of issuing
+// the request.
+type AddrLimiter interface {
+	AddrLimit() Word
+}
+
 // CoreStats measures one core's cycle budget.
 type CoreStats struct {
 	// Busy counts cycles an instruction issued; Idle counts cycles the
@@ -173,6 +181,9 @@ type Core struct {
 	// saveID is the core's identity inside DoneRefCoreCtx refs (SetSaveID).
 	saveID uint32
 
+	// limit is the memory's AddrLimit, or 0 when it reports none.
+	limit Word
+
 	// Settlement state for event-driven runs: cycles an engine jumps over
 	// are accounted lazily, at the context state frozen when the core last
 	// stepped (jumped-over cycles are activity-free, so the frozen state is
@@ -195,6 +206,9 @@ func NewCore(prog *Program, mem MemPort, k int) *Core {
 		k = 1
 	}
 	c := &Core{prog: prog, mem: mem}
+	if l, ok := mem.(AddrLimiter); ok {
+		c.limit = l.AddrLimit()
+	}
 	for i := 0; i < k; i++ {
 		c.ctxs = append(c.ctxs, &context{idx: i})
 	}
@@ -398,27 +412,27 @@ func (c *Core) execute(ctx *context) {
 	case JR:
 		ctx.pc = int(ctx.regs[rs])
 	case LD:
-		if a, ok := memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
 			c.issueMem(ctx, MemRequest{Op: MemRead, Addr: a}, rd)
 		}
 	case ST:
-		if a, ok := memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]+in.Imm); ok {
 			c.issueMem(ctx, MemRequest{Op: MemWrite, Addr: a, Value: ctx.regs[rt]}, 0)
 		}
 	case FAA:
-		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]); ok {
 			c.issueMem(ctx, MemRequest{Op: MemFetchAdd, Addr: a, Value: ctx.regs[rt]}, rd)
 		}
 	case TAS:
-		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]); ok {
 			c.issueMem(ctx, MemRequest{Op: MemTestSet, Addr: a}, rd)
 		}
 	case CNS:
-		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]); ok {
 			c.issueMem(ctx, MemRequest{Op: MemConsume, Addr: a}, rd)
 		}
 	case PRD:
-		if a, ok := memAddr(ctx, ctx.regs[rs]); ok {
+		if a, ok := c.memAddr(ctx, ctx.regs[rs]); ok {
 			c.issueMem(ctx, MemRequest{Op: MemProduce, Addr: a, Value: ctx.regs[rt]}, 0)
 		}
 	default:
@@ -436,10 +450,11 @@ func (c *Core) issueMem(ctx *context, req MemRequest, rd uint8) {
 	c.mem.Request(req)
 }
 
-// memAddr converts an effective address. A negative address faults the
-// context: it halts, as it does on a zero divisor.
-func memAddr(ctx *context, a Word) (uint32, bool) {
-	if a < 0 {
+// memAddr converts an effective address. A negative address, or one at
+// or beyond the memory's AddrLimit, faults the context: it halts, as it
+// does on a zero divisor.
+func (c *Core) memAddr(ctx *context, a Word) (uint32, bool) {
+	if a < 0 || (c.limit > 0 && a >= c.limit) {
 		ctx.halted = true
 		return 0, false
 	}
