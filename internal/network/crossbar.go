@@ -15,12 +15,16 @@ import (
 // crossbar's cost grows at least quadratically. Cost reports the standard
 // crosspoint count so experiments can plot it.
 //
-// Arbitration is cached rather than rescanned: reqs[out] is a bitmask over
-// inputs whose head-of-line packet addresses out, maintained on every
-// queue push/pop, so each output's round-robin grant is a find-first-set
-// over a couple of words instead of an O(ports) walk of every input queue
-// — the same grants, in the same order, at O(ports·words) per cycle
-// instead of O(ports²).
+// Arbitration is cached rather than rescanned, and visits only outputs
+// that have a requester. reqs[out] is a bitmask over inputs whose
+// head-of-line packet addresses out, and active is a bitmask over outputs
+// whose reqs mask is non-zero; both are maintained on every queue
+// push/pop. Each cycle Step walks the set bits of active in ascending
+// output order, and each grant is a find-first-set over a couple of words
+// of reqs[out]. The grants, and their order, are
+// those of a round-robin walk over every output and every input queue, at
+// O(active outputs·words) per cycle instead of O(ports·words) for a walk
+// over every output's mask or O(ports²) for a walk over every queue.
 type Crossbar struct {
 	clocked
 	ports       int
@@ -30,6 +34,7 @@ type Crossbar struct {
 	in      []*queue
 	rr      []int      // per-output round-robin arbitration pointer
 	reqs    [][]uint64 // reqs[out]: bitmask of inputs whose head wants out
+	active  []uint64   // bitmask of outputs whose reqs[out] is non-zero
 	headDst []int      // cached head-of-line destination per input, -1 if empty
 
 	// inflight holds granted packets until transit completes. switchDelay
@@ -53,16 +58,17 @@ func NewCrossbar(ports int, switchDelay sim.Cycle, queueCap int) *Crossbar {
 	if switchDelay < 1 {
 		switchDelay = 1
 	}
+	words := (ports + 63) / 64
 	c := &Crossbar{
 		ports:       ports,
 		switchDelay: switchDelay,
 		in:          make([]*queue, ports),
 		rr:          make([]int, ports),
 		reqs:        make([][]uint64, ports),
+		active:      make([]uint64, words),
 		headDst:     make([]int, ports),
 		stats:       NewStats(),
 	}
-	words := (ports + 63) / 64
 	for i := range c.in {
 		c.in[i] = newQueue(queueCap)
 		c.reqs[i] = make([]uint64, words)
@@ -81,8 +87,9 @@ func (c *Crossbar) Ports() int { return c.ports }
 // SetDelivery registers the destination callback.
 func (c *Crossbar) SetDelivery(d Delivery) { c.deliver = d }
 
-// syncHead refreshes input i's cached head destination and the per-output
-// requester bitmasks after a push or pop changed the head of its queue.
+// syncHead refreshes input i's cached head destination, the per-output
+// requester bitmasks and the active-output mask after a push or pop
+// changed the head of its queue.
 func (c *Crossbar) syncHead(i int) {
 	d := -1
 	if h := c.in[i].head(); h != nil {
@@ -92,12 +99,27 @@ func (c *Crossbar) syncHead(i int) {
 		return
 	}
 	if o := c.headDst[i]; o >= 0 {
-		c.reqs[o][i>>6] &^= 1 << (uint(i) & 63)
+		r := c.reqs[o]
+		r[i>>6] &^= 1 << (uint(i) & 63)
+		if r[i>>6] == 0 && isZero(r) {
+			c.active[o>>6] &^= 1 << (uint(o) & 63)
+		}
 	}
 	if d >= 0 {
 		c.reqs[d][i>>6] |= 1 << (uint(i) & 63)
+		c.active[d>>6] |= 1 << (uint(d) & 63)
 	}
 	c.headDst[i] = d
+}
+
+// isZero reports whether no bit of mask is set.
+func isZero(mask []uint64) bool {
+	for _, w := range mask {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // firstSetFrom returns the lowest set bit at or cyclically after start, or
@@ -138,8 +160,8 @@ func (c *Crossbar) Send(p *Packet) bool {
 	return true
 }
 
-// Step arbitrates each output among requesting inputs (round-robin) and
-// delivers packets whose transit completes this cycle.
+// Step delivers packets whose transit completes this cycle and arbitrates
+// each requested output among its requesting inputs (round-robin).
 func (c *Crossbar) Step(now sim.Cycle) {
 	c.now = now
 	for c.inflight.Len() > 0 && c.inflight.Peek().at <= now {
@@ -149,18 +171,23 @@ func (c *Crossbar) Step(now sim.Cycle) {
 		c.deliver(p)
 	}
 
-	// For each output, grant the first requesting input at or cyclically
-	// after the round-robin pointer.
-	for out := 0; out < c.ports; out++ {
-		granted := firstSetFrom(c.reqs[out], c.rr[out])
-		if granted < 0 {
-			continue
+	// For each output with a requester, in ascending order, grant the
+	// first requesting input at or cyclically after the round-robin
+	// pointer. The word of active is re-read after every grant: a granted
+	// input whose new head wants a later output is served there this same
+	// cycle, as a walk over every output would serve it.
+	for w := range c.active {
+		for v := c.active[w]; v != 0; {
+			bit := bits.TrailingZeros64(v)
+			out := w<<6 + bit
+			granted := firstSetFrom(c.reqs[out], c.rr[out])
+			p := c.in[granted].pop()
+			c.syncHead(granted)
+			p.Hops = 1
+			c.inflight.Push(flight{at: now + c.switchDelay, p: p})
+			c.rr[out] = (granted + 1) % c.ports
+			v = c.active[w] & (^uint64(0) << bit << 1)
 		}
-		p := c.in[granted].pop()
-		c.syncHead(granted)
-		p.Hops = 1
-		c.inflight.Push(flight{at: now + c.switchDelay, p: p})
-		c.rr[out] = (granted + 1) % c.ports
 	}
 }
 

@@ -194,8 +194,9 @@ func (c *Crossbar) SaveTo(e *sim.Enc, pc PayloadCodec) {
 	c.stats.Save(e)
 }
 
-// LoadFrom restores the crossbar's dynamic state. The arbitration bitmasks
-// and head-destination cache are derived, not decoded.
+// LoadFrom restores the crossbar's dynamic state. The arbitration bitmasks,
+// active-output mask and head-destination cache are derived from the
+// restored queues, not decoded.
 func (c *Crossbar) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	if err := d.Tag("net.xbar", 1); err != nil {
 		return err
@@ -211,6 +212,7 @@ func (c *Crossbar) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 		}
 		c.headDst[i] = -1
 	}
+	clear(c.active)
 	for i := range c.in {
 		c.syncHead(i)
 	}

@@ -33,6 +33,10 @@ const spinAsm = "spin:   j    spin\n        halt\n"
 
 const farLoadAsm = "        li   r1, 100000\n        ld   r2, r1, 0\n        halt\n"
 
+// wideStoreAsm stores 7 at 2^32 + ResultAddr, an address beyond the
+// 32-bit address space that must fault rather than wrap onto ResultAddr.
+const wideStoreAsm = "        li   r1, 4294967360\n        li   r2, 7\n        st   r2, r1, 0\n        halt\n"
+
 const doubleID = "def main(n) = n * 2;"
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -128,6 +132,13 @@ func TestRunVNAndBaselines(t *testing.T) {
 		// (as a negative address does) rather than crashing the server.
 		if rr := doJSON(t, s, "POST", "/v1/run", runBody(t, KindVNAsm, machine, farLoadAsm, nil)); rr.Code != http.StatusOK {
 			t.Errorf("%s: out-of-range load: status %d: %s", machine, rr.Code, rr.Body)
+		}
+		// A store beyond 2^32 faults too; it must not wrap onto ResultAddr.
+		rr = doJSON(t, s, "POST", "/v1/run", runBody(t, KindVNAsm, machine, wideStoreAsm, nil))
+		if rr.Code != http.StatusOK {
+			t.Errorf("%s: store beyond 2^32: status %d: %s", machine, rr.Code, rr.Body)
+		} else if res := decodeResult(t, rr.Body.Bytes()); res.Result != nil && *res.Result == 7 {
+			t.Errorf("%s: store beyond 2^32 wrapped onto ResultAddr (result 7)", machine)
 		}
 	}
 }

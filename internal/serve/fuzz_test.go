@@ -60,6 +60,7 @@ func FuzzBaselineRun(f *testing.F) {
 	for _, src := range []string{
 		"li r1, 100000\nld r2, r1, 0\nhalt",
 		"li r1, -1\nst r1, r1, 0\nhalt",
+		"li r1, 4294967360\nli r2, 7\nst r2, r1, 0\nhalt",
 		"li r1, 64\nli r2, 1\nfaa r3, r1, r2\ntas r4, r1\nhalt",
 		"cns r1, r0\nprd r1, r0\nhalt",
 		"loop: j loop",

@@ -2,6 +2,7 @@ package vn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -450,11 +451,11 @@ func (c *Core) issueMem(ctx *context, req MemRequest, rd uint8) {
 	c.mem.Request(req)
 }
 
-// memAddr converts an effective address. A negative address, or one at
-// or beyond the memory's AddrLimit, faults the context: it halts, as it
-// does on a zero divisor.
+// memAddr converts an effective address. A negative address, one above
+// the 32-bit address space, or one at or beyond the memory's AddrLimit
+// faults the context: it halts, as it does on a zero divisor.
 func (c *Core) memAddr(ctx *context, a Word) (uint32, bool) {
-	if a < 0 || (c.limit > 0 && a >= c.limit) {
+	if a < 0 || a > math.MaxUint32 || (c.limit > 0 && a >= c.limit) {
 		ctx.halted = true
 		return 0, false
 	}

@@ -90,6 +90,38 @@ func TestNegativeAddressHalts(t *testing.T) {
 	}
 }
 
+// TestAddressAbove32BitsHalts: an effective address beyond the 32-bit
+// address space faults the context, as a negative one does, instead of
+// wrapping onto a low word.
+func TestAddressAbove32BitsHalts(t *testing.T) {
+	const wrapped = 64 // 4294967360 = 2^32 + 64
+	for _, src := range []string{
+		"li r1, 4294967360\nli r2, 7\nst r2, r1, 0\nli r3, 7\nhalt",
+		"li r1, 4294967296\nld r2, r1, 64\nli r3, 7\nhalt",
+		"li r1, 4294967360\nli r2, 7\nfaa r4, r1, r2\nli r3, 7\nhalt",
+	} {
+		prog, err := Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := NewLatencyMemory(2)
+		mem.Poke(wrapped, 5)
+		c := NewCore(prog, mem, 1)
+		eng := sim.NewEngine()
+		eng.Register(mem)
+		eng.Register(c)
+		if _, ok := eng.Run(func() bool { return c.Halted() && mem.Pending() == 0 }, 100); !ok {
+			t.Fatalf("%q: core did not halt", src)
+		}
+		if got := c.Context(0).Reg(3); got != 0 {
+			t.Fatalf("%q: ran past the faulting access (r3 = %d)", src, got)
+		}
+		if got := mem.Peek(wrapped); got != 5 {
+			t.Fatalf("%q: word %d = %d, want it untouched (5)", src, wrapped, got)
+		}
+	}
+}
+
 func TestInstrStrings(t *testing.T) {
 	p, err := Assemble("start: li r1, 5\nld r2, r1, 3\nst r2, r1, 0\nfaa r3, r1, r2\nbeq r1, r2, start\nhalt")
 	if err != nil {
